@@ -12,6 +12,24 @@ namespace tdtcp {
 
 namespace {
 
+// Closes `f`, throwing if any write to it or the final flush failed: a full
+// disk must not leave a silently truncated file for a later comparison.
+void CloseChecked(std::FILE* f, const std::string& path) {
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    throw std::runtime_error("write failed: " + path);
+  }
+}
+
+// Writes `text` plus a trailing newline as the whole content of `path`.
+void WriteLine(const std::string& path, const std::string& text) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (!f) throw std::runtime_error("cannot open " + path);
+  std::fwrite(text.data(), 1, text.size(), f);
+  std::fputc('\n', f);
+  CloseChecked(f, path);
+}
+
 void AppendMetricStats(std::string& out, const MetricStats& s) {
   out += "{\"mean\":" + NumberToJson(s.mean);
   out += ",\"stddev\":" + NumberToJson(s.stddev);
@@ -44,11 +62,11 @@ std::string SweepToJson(const SweepResult& sweep) {
       if (r) out += ",";
       out += "{\"seed\":" + NumberToJson(static_cast<double>(run.seed));
       out += ",\"metrics\":{";
-      const auto metrics = ScalarMetrics(run.result);
+      const auto metrics = SweepMetrics();
       for (std::size_t m = 0; m < metrics.size(); ++m) {
         if (m) out += ",";
-        out += "\"" + EscapeJson(metrics[m].first) +
-               "\":" + NumberToJson(metrics[m].second);
+        out += "\"" + EscapeJson(metrics[m].name) +
+               "\":" + NumberToJson(metrics[m].get(run.result));
       }
       out += "}}";
     }
@@ -65,12 +83,7 @@ std::string SweepToJson(const SweepResult& sweep) {
 }
 
 void WriteSweepJson(const std::string& path, const SweepResult& sweep) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  const std::string json = SweepToJson(sweep);
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  WriteLine(path, SweepToJson(sweep));
 }
 
 // --- JSON parsing -----------------------------------------------------------
@@ -83,62 +96,6 @@ double RequireNumber(const JsonValue& obj, const std::string& key) {
     throw std::runtime_error("tdtcp-sweep: missing numeric field " + key);
   }
   return v->number;
-}
-
-// Applies a named scalar metric back onto an ExperimentResult, inverting
-// ScalarMetrics for the round-trip.
-void ApplyMetric(ExperimentResult& r, const std::string& name, double value) {
-  const auto u64 = [&] { return static_cast<std::uint64_t>(value); };
-  if (name == "goodput_bps") r.goodput_bps = value;
-  else if (name == "total_bytes") r.total_bytes = u64();
-  else if (name == "retransmissions") r.retransmissions = u64();
-  else if (name == "timeouts") r.timeouts = u64();
-  else if (name == "reorder_events") r.reorder_events = u64();
-  else if (name == "reorder_marked_lost") r.reorder_marked_lost = u64();
-  else if (name == "duplicate_segments") r.duplicate_segments = u64();
-  else if (name == "undo_events") r.undo_events = u64();
-  else if (name == "cross_tdn_exemptions") r.cross_tdn_exemptions = u64();
-  else if (name == "faults_injected") r.faults_injected = u64();
-  else if (name == "notifications_dropped") r.notifications_dropped = u64();
-  else if (name == "stale_notifications") r.stale_notifications = u64();
-  else if (name == "tdn_inferred_switches") r.tdn_inferred_switches = u64();
-  else if (name == "voq_shrink_deferred") r.voq_shrink_deferred = u64();
-  else if (name == "voq_drops") r.voq_drops = u64();
-  else if (name == "voq_ce_marked") r.voq_ce_marked = u64();
-  else if (name == "voq_codel_drops") r.voq_codel_drops = u64();
-  else if (name == "voq_codel_marks") r.voq_codel_marks = u64();
-  else if (name == "voq_delay_marked") r.voq_delay_marked = u64();
-  else if (name == "voq_shared_rejected") r.voq_shared_rejected = u64();
-  else if (name == "voq_sojourn_mean_us") r.voq_sojourn_mean_us = value;
-  else if (name == "voq_sojourn_p99_us") r.voq_sojourn_p99_us = value;
-  else if (name == "voq_sojourn_max_us") r.voq_sojourn_max_us = value;
-  else if (name == "trace_hash") r.trace_hash = u64();  // 53-bit fingerprint
-  else if (name == "trace_records") r.trace_records = u64();
-  else if (name == "recovery_forced") r.recovery_forced = u64();
-  else if (name == "recovery_rescued") r.recovery_rescued = u64();
-  else if (name == "recovery_spurious") r.recovery_spurious = u64();
-  else if (name == "sim_events") r.sim_events = u64();
-  else if (name == "sim_batches") r.sim_batches = u64();
-  else if (name == "sim_max_batch") r.sim_max_batch = u64();
-  else if (name == "sim_cohort_hits") r.sim_cohort_hits = u64();
-  else if (name == "sim_dead_dropped") r.sim_dead_dropped = u64();
-  else if (name == "sim_compactions") r.sim_compactions = u64();
-  else if (name.rfind("churn_fct_", 0) == 0) {
-    // Per-size-bucket FCT family: churn_fct_<bucket>_{count,p50_us,...}.
-    for (std::size_t bkt = 0; bkt < kNumFctBuckets; ++bkt) {
-      const std::string prefix = std::string("churn_fct_") +
-                                 kFctBucketNames[bkt] + "_";
-      if (name.rfind(prefix, 0) != 0) continue;
-      const std::string field = name.substr(prefix.size());
-      auto& bucket = r.churn_fct_bucket[bkt];
-      if (field == "count") bucket.count = u64();
-      else if (field == "p50_us") bucket.p50_us = value;
-      else if (field == "p99_us") bucket.p99_us = value;
-      else if (field == "p999_us") bucket.p999_us = value;
-      break;
-    }
-  }
-  // Unknown metrics from a newer minor schema are ignored.
 }
 
 }  // namespace
@@ -175,9 +132,13 @@ SweepResult SweepFromJson(const std::string& json) {
         run.seed = static_cast<std::uint64_t>(RequireNumber(jr, "seed"));
         run.result.variant = cell.variant;
         run.result.duration = cell.duration;
+        // Table order, not document order, so derived setters see the
+        // entries they depend on; unknown (newer) metrics are ignored.
         if (const JsonValue* metrics = jr.Find("metrics")) {
-          for (const auto& [name, value] : metrics->object) {
-            ApplyMetric(run.result, name, value.NumberOr(0));
+          for (const SweepMetric& m : SweepMetrics()) {
+            if (const JsonValue* v = metrics->Find(m.name)) {
+              m.set(run.result, v->NumberOr(0));
+            }
           }
         }
         cell.runs.push_back(std::move(run));
@@ -185,8 +146,8 @@ SweepResult SweepFromJson(const std::string& json) {
     }
 
     if (const JsonValue* aggs = jc.Find("aggregates")) {
-      // Rebuild in canonical ScalarMetrics order (the JSON object model is
-      // a sorted map), so round-tripped cells compare equal to the writer's.
+      // Rebuild in table order (the JSON object model is a sorted map), so
+      // round-tripped cells compare equal to the writer's.
       auto take = [&](const std::string& name, const JsonValue& jstats) {
         MetricStats s;
         s.mean = RequireNumber(jstats, "mean");
@@ -196,11 +157,10 @@ SweepResult SweepFromJson(const std::string& json) {
         cell.metrics.emplace_back(name, s);
       };
       std::set<std::string> taken;
-      for (const auto& [name, unused] : ScalarMetrics(ExperimentResult{})) {
-        (void)unused;
-        if (const JsonValue* jstats = aggs->Find(name)) {
-          take(name, *jstats);
-          taken.insert(name);
+      for (const SweepMetric& m : SweepMetrics()) {
+        if (const JsonValue* jstats = aggs->Find(m.name)) {
+          take(m.name, *jstats);
+          taken.insert(m.name);
         }
       }
       for (const auto& [name, jstats] : aggs->object) {
@@ -259,12 +219,7 @@ std::string BenchToJson(const BenchReport& report) {
 }
 
 void WriteBenchJson(const std::string& path, const BenchReport& report) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) throw std::runtime_error("cannot open " + path);
-  const std::string json = BenchToJson(report);
-  std::fwrite(json.data(), 1, json.size(), f);
-  std::fputc('\n', f);
-  std::fclose(f);
+  WriteLine(path, BenchToJson(report));
 }
 
 BenchReport BenchFromJson(const std::string& json) {
@@ -319,11 +274,7 @@ void WriteSweepCsv(const std::string& path, const SweepResult& sweep) {
 
   std::fprintf(f, "label,variant,schedule,qdisc,duration_ms,seed");
   if (!sweep.cells.empty() && !sweep.cells.front().runs.empty()) {
-    for (const auto& [name, value] :
-         ScalarMetrics(sweep.cells.front().runs.front().result)) {
-      (void)value;
-      std::fprintf(f, ",%s", name.c_str());
-    }
+    for (const SweepMetric& m : SweepMetrics()) std::fprintf(f, ",%s", m.name);
   }
   std::fprintf(f, "\n");
 
@@ -333,9 +284,8 @@ void WriteSweepCsv(const std::string& path, const SweepResult& sweep) {
                    VariantName(cell.variant), cell.schedule_label.c_str(),
                    cell.qdisc_label.c_str(), cell.duration.millis_f(),
                    static_cast<unsigned long long>(run.seed));
-      for (const auto& [name, value] : ScalarMetrics(run.result)) {
-        (void)name;
-        std::fprintf(f, ",%.17g", value);
+      for (const SweepMetric& m : SweepMetrics()) {
+        std::fprintf(f, ",%.17g", m.get(run.result));
       }
       std::fprintf(f, "\n");
     }
@@ -353,7 +303,7 @@ void WriteSweepCsv(const std::string& path, const SweepResult& sweep) {
       std::fprintf(f, "\n");
     }
   }
-  std::fclose(f);
+  CloseChecked(f, path);
 }
 
 }  // namespace tdtcp

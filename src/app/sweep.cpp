@@ -4,8 +4,11 @@
 #include <chrono>
 #include <cmath>
 #include <exception>
+#include <iterator>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 namespace tdtcp {
 
@@ -78,106 +81,159 @@ MetricStats ComputeStats(const std::vector<double>& values) {
   return s;
 }
 
+namespace {
+
+// Read-back values come from a file. A double outside [0, 2^64) has no
+// uint64_t value (the cast would be undefined), so it is rejected.
+std::uint64_t ToCount(double v) {
+  if (!(v >= 0 && v < 0x1p64)) {
+    throw std::runtime_error("tdtcp-sweep: count out of range");
+  }
+  return static_cast<std::uint64_t>(v);
+}
+
+template <class T>
+void Assign(T& field, double v) {
+  if constexpr (std::is_same_v<T, std::uint64_t>) {
+    field = ToCount(v);
+  } else {
+    field = static_cast<T>(v);
+  }
+}
+
+// Hashes are masked to the double mantissa so the value survives the JSON
+// round-trip exactly; 53 bits is ample for an equality fingerprint.
+constexpr std::uint64_t kHashMask = (1ull << 53) - 1;
+
+// A metric that is the numeric ExperimentResult member `r.FIELD`.
+#define TDTCP_FIELD_METRIC(NAME, FIELD)                           \
+  SweepMetric {                                                   \
+    NAME,                                                         \
+        [](const ExperimentResult& r) {                           \
+          return static_cast<double>(r.FIELD);                    \
+        },                                                        \
+        [](ExperimentResult& r, double v) { Assign(r.FIELD, v); } \
+  }
+
+// Emission order is pinned by the sweep regression fixtures: new metrics go
+// at the end.
+constexpr SweepMetric kSweepMetrics[] = {
+    TDTCP_FIELD_METRIC("goodput_bps", goodput_bps),
+    TDTCP_FIELD_METRIC("total_bytes", total_bytes),
+    TDTCP_FIELD_METRIC("retransmissions", retransmissions),
+    TDTCP_FIELD_METRIC("timeouts", timeouts),
+    TDTCP_FIELD_METRIC("reorder_events", reorder_events),
+    TDTCP_FIELD_METRIC("reorder_marked_lost", reorder_marked_lost),
+    TDTCP_FIELD_METRIC("duplicate_segments", duplicate_segments),
+    TDTCP_FIELD_METRIC("undo_events", undo_events),
+    TDTCP_FIELD_METRIC("cross_tdn_exemptions", cross_tdn_exemptions),
+    TDTCP_FIELD_METRIC("faults_injected", faults_injected),
+    TDTCP_FIELD_METRIC("notifications_dropped", notifications_dropped),
+    TDTCP_FIELD_METRIC("stale_notifications", stale_notifications),
+    TDTCP_FIELD_METRIC("tdn_inferred_switches", tdn_inferred_switches),
+    TDTCP_FIELD_METRIC("voq_shrink_deferred", voq_shrink_deferred),
+    // Queue discipline.
+    TDTCP_FIELD_METRIC("voq_drops", voq_drops),
+    TDTCP_FIELD_METRIC("voq_ce_marked", voq_ce_marked),
+    TDTCP_FIELD_METRIC("voq_codel_drops", voq_codel_drops),
+    TDTCP_FIELD_METRIC("voq_codel_marks", voq_codel_marks),
+    TDTCP_FIELD_METRIC("voq_delay_marked", voq_delay_marked),
+    TDTCP_FIELD_METRIC("voq_shared_rejected", voq_shared_rejected),
+    TDTCP_FIELD_METRIC("voq_sojourn_mean_us", voq_sojourn_mean_us),
+    TDTCP_FIELD_METRIC("voq_sojourn_p99_us", voq_sojourn_p99_us),
+    TDTCP_FIELD_METRIC("voq_sojourn_max_us", voq_sojourn_max_us),
+    {"trace_hash",
+     [](const ExperimentResult& r) {
+       return static_cast<double>(r.trace_hash & kHashMask);
+     },
+     [](ExperimentResult& r, double v) { Assign(r.trace_hash, v); }},
+    TDTCP_FIELD_METRIC("trace_records", trace_records),
+    // Churn lifecycles (zero when churn was disabled).
+    TDTCP_FIELD_METRIC("churn_opened", churn.opened),
+    TDTCP_FIELD_METRIC("churn_closed", churn.closed),
+    {"churn_abnormal",
+     [](const ExperimentResult& r) {
+       return static_cast<double>(r.churn.abnormal());
+     },
+     // abnormal = closed - normal; churn_closed is already applied.
+     [](ExperimentResult& r, double v) {
+       r.churn.reasons[static_cast<std::size_t>(CloseReason::kNormal)] =
+           r.churn.closed - ToCount(v);
+     }},
+    TDTCP_FIELD_METRIC("churn_app_timeouts", churn.app_timeouts),
+    TDTCP_FIELD_METRIC("churn_bytes", churn.bytes_completed),
+    {"churn_hash",
+     [](const ExperimentResult& r) {
+       return static_cast<double>(r.churn_hash & kHashMask);
+     },
+     [](ExperimentResult& r, double v) { Assign(r.churn_hash, v); }},
+    TDTCP_FIELD_METRIC("churn_all_closed", churn_all_closed),
+    // Host recovery agent.
+    TDTCP_FIELD_METRIC("recovery_forced", recovery_forced),
+    TDTCP_FIELD_METRIC("recovery_rescued", recovery_rescued),
+    TDTCP_FIELD_METRIC("recovery_spurious", recovery_spurious),
+    // Simulator event core.
+    TDTCP_FIELD_METRIC("sim_events", sim_events),
+    TDTCP_FIELD_METRIC("sim_batches", sim_batches),
+    TDTCP_FIELD_METRIC("sim_max_batch", sim_max_batch),
+    TDTCP_FIELD_METRIC("sim_cohort_hits", sim_cohort_hits),
+    TDTCP_FIELD_METRIC("sim_dead_dropped", sim_dead_dropped),
+    TDTCP_FIELD_METRIC("sim_compactions", sim_compactions),
+    // Per-size-bucket FCT tails (kFctBucketNames order): count +
+    // nearest-rank p50/p99/p99.9 in µs.
+    TDTCP_FIELD_METRIC("churn_fct_s_count", churn_fct_bucket[0].count),
+    TDTCP_FIELD_METRIC("churn_fct_s_p50_us", churn_fct_bucket[0].p50_us),
+    TDTCP_FIELD_METRIC("churn_fct_s_p99_us", churn_fct_bucket[0].p99_us),
+    TDTCP_FIELD_METRIC("churn_fct_s_p999_us", churn_fct_bucket[0].p999_us),
+    TDTCP_FIELD_METRIC("churn_fct_m_count", churn_fct_bucket[1].count),
+    TDTCP_FIELD_METRIC("churn_fct_m_p50_us", churn_fct_bucket[1].p50_us),
+    TDTCP_FIELD_METRIC("churn_fct_m_p99_us", churn_fct_bucket[1].p99_us),
+    TDTCP_FIELD_METRIC("churn_fct_m_p999_us", churn_fct_bucket[1].p999_us),
+    TDTCP_FIELD_METRIC("churn_fct_l_count", churn_fct_bucket[2].count),
+    TDTCP_FIELD_METRIC("churn_fct_l_p50_us", churn_fct_bucket[2].p50_us),
+    TDTCP_FIELD_METRIC("churn_fct_l_p99_us", churn_fct_bucket[2].p99_us),
+    TDTCP_FIELD_METRIC("churn_fct_l_p999_us", churn_fct_bucket[2].p999_us),
+    TDTCP_FIELD_METRIC("churn_fct_xl_count", churn_fct_bucket[3].count),
+    TDTCP_FIELD_METRIC("churn_fct_xl_p50_us", churn_fct_bucket[3].p50_us),
+    TDTCP_FIELD_METRIC("churn_fct_xl_p99_us", churn_fct_bucket[3].p99_us),
+    TDTCP_FIELD_METRIC("churn_fct_xl_p999_us", churn_fct_bucket[3].p999_us),
+    // Convergence-oracle verdicts + schedule-perturbation accounting.
+    TDTCP_FIELD_METRIC("stability_converged", stability_converged),
+    TDTCP_FIELD_METRIC("stability_oscillating", stability_oscillating),
+    TDTCP_FIELD_METRIC("stability_starved", stability_starved),
+    TDTCP_FIELD_METRIC("stability_insufficient", stability_insufficient),
+    TDTCP_FIELD_METRIC("stability_worst_amplitude", stability_worst_amplitude),
+    TDTCP_FIELD_METRIC("stability_worst_period_us", stability_worst_period_us),
+    TDTCP_FIELD_METRIC("schedule_changes", schedule_changes),
+    TDTCP_FIELD_METRIC("restart_holds", restart_holds),
+    TDTCP_FIELD_METRIC("tdn_reconfigs", tdn_reconfigs),
+};
+
+#undef TDTCP_FIELD_METRIC
+
+}  // namespace
+
+std::span<const SweepMetric> SweepMetrics() { return kSweepMetrics; }
+
 std::vector<std::pair<std::string, double>> ScalarMetrics(
     const ExperimentResult& r) {
-  return {
-      {"goodput_bps", r.goodput_bps},
-      {"total_bytes", static_cast<double>(r.total_bytes)},
-      {"retransmissions", static_cast<double>(r.retransmissions)},
-      {"timeouts", static_cast<double>(r.timeouts)},
-      {"reorder_events", static_cast<double>(r.reorder_events)},
-      {"reorder_marked_lost", static_cast<double>(r.reorder_marked_lost)},
-      {"duplicate_segments", static_cast<double>(r.duplicate_segments)},
-      {"undo_events", static_cast<double>(r.undo_events)},
-      {"cross_tdn_exemptions", static_cast<double>(r.cross_tdn_exemptions)},
-      {"faults_injected", static_cast<double>(r.faults_injected)},
-      {"notifications_dropped", static_cast<double>(r.notifications_dropped)},
-      {"stale_notifications", static_cast<double>(r.stale_notifications)},
-      {"tdn_inferred_switches", static_cast<double>(r.tdn_inferred_switches)},
-      {"voq_shrink_deferred", static_cast<double>(r.voq_shrink_deferred)},
-      // Queue-discipline metrics (PR 6). Inserted mid-list is fine: the
-      // regression fixtures pin only the leading entries' order.
-      {"voq_drops", static_cast<double>(r.voq_drops)},
-      {"voq_ce_marked", static_cast<double>(r.voq_ce_marked)},
-      {"voq_codel_drops", static_cast<double>(r.voq_codel_drops)},
-      {"voq_codel_marks", static_cast<double>(r.voq_codel_marks)},
-      {"voq_delay_marked", static_cast<double>(r.voq_delay_marked)},
-      {"voq_shared_rejected", static_cast<double>(r.voq_shared_rejected)},
-      {"voq_sojourn_mean_us", r.voq_sojourn_mean_us},
-      {"voq_sojourn_p99_us", r.voq_sojourn_p99_us},
-      {"voq_sojourn_max_us", r.voq_sojourn_max_us},
-      // Masked to the double mantissa so the value survives the JSON
-      // round-trip exactly; 53 bits is ample for an equality fingerprint.
-      {"trace_hash", static_cast<double>(r.trace_hash & ((1ull << 53) - 1))},
-      {"trace_records", static_cast<double>(r.trace_records)},
-      // Churn lifecycle metrics (zero when churn was disabled). Appended at
-      // the end: downstream consumers index metrics by name, but the sweep
-      // regression fixtures pin the leading entries' order.
-      {"churn_opened", static_cast<double>(r.churn.opened)},
-      {"churn_closed", static_cast<double>(r.churn.closed)},
-      {"churn_abnormal", static_cast<double>(r.churn.abnormal())},
-      {"churn_app_timeouts", static_cast<double>(r.churn.app_timeouts)},
-      {"churn_bytes", static_cast<double>(r.churn.bytes_completed)},
-      {"churn_hash", static_cast<double>(r.churn_hash & ((1ull << 53) - 1))},
-      {"churn_all_closed", r.churn_all_closed ? 1.0 : 0.0},
-      // Host recovery agent metrics (PR 7); appended at the end like the
-      // churn family so fixture-pinned leading entries keep their order.
-      {"recovery_forced", static_cast<double>(r.recovery_forced)},
-      {"recovery_rescued", static_cast<double>(r.recovery_rescued)},
-      {"recovery_spurious", static_cast<double>(r.recovery_spurious)},
-      // Simulator event-core metrics (batched dispatch + queue bookkeeping);
-      // appended at the end like the families above.
-      {"sim_events", static_cast<double>(r.sim_events)},
-      {"sim_batches", static_cast<double>(r.sim_batches)},
-      {"sim_max_batch", static_cast<double>(r.sim_max_batch)},
-      {"sim_cohort_hits", static_cast<double>(r.sim_cohort_hits)},
-      {"sim_dead_dropped", static_cast<double>(r.sim_dead_dropped)},
-      {"sim_compactions", static_cast<double>(r.sim_compactions)},
-      // Per-size-bucket FCT tails (this PR); appended at the end like the
-      // families above. Bucket b: count + nearest-rank p50/p99/p99.9 in µs.
-      {"churn_fct_s_count", static_cast<double>(r.churn_fct_bucket[0].count)},
-      {"churn_fct_s_p50_us", r.churn_fct_bucket[0].p50_us},
-      {"churn_fct_s_p99_us", r.churn_fct_bucket[0].p99_us},
-      {"churn_fct_s_p999_us", r.churn_fct_bucket[0].p999_us},
-      {"churn_fct_m_count", static_cast<double>(r.churn_fct_bucket[1].count)},
-      {"churn_fct_m_p50_us", r.churn_fct_bucket[1].p50_us},
-      {"churn_fct_m_p99_us", r.churn_fct_bucket[1].p99_us},
-      {"churn_fct_m_p999_us", r.churn_fct_bucket[1].p999_us},
-      {"churn_fct_l_count", static_cast<double>(r.churn_fct_bucket[2].count)},
-      {"churn_fct_l_p50_us", r.churn_fct_bucket[2].p50_us},
-      {"churn_fct_l_p99_us", r.churn_fct_bucket[2].p99_us},
-      {"churn_fct_l_p999_us", r.churn_fct_bucket[2].p999_us},
-      {"churn_fct_xl_count", static_cast<double>(r.churn_fct_bucket[3].count)},
-      {"churn_fct_xl_p50_us", r.churn_fct_bucket[3].p50_us},
-      {"churn_fct_xl_p99_us", r.churn_fct_bucket[3].p99_us},
-      {"churn_fct_xl_p999_us", r.churn_fct_bucket[3].p999_us},
-      // Convergence-oracle verdicts + schedule-perturbation accounting
-      // (appended at the end: fixtures pin the leading order).
-      {"stability_converged", static_cast<double>(r.stability_converged)},
-      {"stability_oscillating", static_cast<double>(r.stability_oscillating)},
-      {"stability_starved", static_cast<double>(r.stability_starved)},
-      {"stability_insufficient",
-       static_cast<double>(r.stability_insufficient)},
-      {"stability_worst_amplitude", r.stability_worst_amplitude},
-      {"stability_worst_period_us", r.stability_worst_period_us},
-      {"schedule_changes", static_cast<double>(r.schedule_changes)},
-      {"restart_holds", static_cast<double>(r.restart_holds)},
-      {"tdn_reconfigs", static_cast<double>(r.tdn_reconfigs)},
-  };
+  std::vector<std::pair<std::string, double>> out;
+  out.reserve(std::size(kSweepMetrics));
+  for (const SweepMetric& m : kSweepMetrics) out.emplace_back(m.name, m.get(r));
+  return out;
 }
 
 std::vector<std::pair<std::string, MetricStats>> AggregateRuns(
     const std::vector<SweepRun>& runs) {
   std::vector<std::pair<std::string, MetricStats>> out;
   if (runs.empty()) return out;
-  const auto names = ScalarMetrics(runs.front().result);
-  for (std::size_t m = 0; m < names.size(); ++m) {
-    std::vector<double> values;
-    values.reserve(runs.size());
-    for (const SweepRun& run : runs) {
-      values.push_back(ScalarMetrics(run.result)[m].second);
+  out.reserve(std::size(kSweepMetrics));
+  std::vector<double> values(runs.size());
+  for (const SweepMetric& m : kSweepMetrics) {
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+      values[i] = m.get(runs[i].result);
     }
-    out.emplace_back(names[m].first, ComputeStats(values));
+    out.emplace_back(m.name, ComputeStats(values));
   }
   return out;
 }

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,8 +48,20 @@ struct MetricStats {
 
 MetricStats ComputeStats(const std::vector<double>& values);
 
-// The scalar metrics a sweep aggregates across seeds, as (name, value)
-// pairs — one place defines the set for aggregation, JSON, and CSV alike.
+// One scalar sweep metric: its name, how to read it off an ExperimentResult,
+// and how to write a read-back value onto one (`set` inverts `get`).
+struct SweepMetric {
+  const char* name;
+  double (*get)(const ExperimentResult&);
+  void (*set)(ExperimentResult&, double);
+};
+
+// Every scalar metric a sweep aggregates, emits (JSON, CSV) and reads back,
+// in emission order — the one place a metric is defined. Readers apply the
+// setters in this order, so a derived entry may rely on earlier ones.
+std::span<const SweepMetric> SweepMetrics();
+
+// The table evaluated on one result, as (name, value) pairs.
 std::vector<std::pair<std::string, double>> ScalarMetrics(
     const ExperimentResult& r);
 

@@ -160,18 +160,6 @@ class QueueDisc {
   // emptied the queue.
   std::optional<Packet> Dequeue(SimTime now);
 
-  // Burst service: pops up to `max` deliverable packets into `out[0..)` and
-  // returns how many were delivered. Exactly equivalent to calling
-  // Dequeue(now) repeatedly until `max` deliveries or an empty queue — the
-  // AQM control law (CoDel state machine, delay marking, live occupancy)
-  // runs per packet on identical state — but the sojourn-summary, shared-
-  // pool, and shrink-watermark bookkeeping is folded into one update per
-  // burst. A front packet larger than `max_packet_bytes` stops the burst
-  // *before* being popped (the caller's "would this packet still belong to
-  // the burst" predicate, e.g. Link's zero-serialization cap).
-  std::size_t DequeueBurst(SimTime now, std::size_t max,
-                           std::uint32_t max_packet_bytes, Packet* out);
-
   // Structural bulk drain, the batched form of `while (auto p = PopRaw())`:
   // moves every queued packet into `out` (appending) with the pool and
   // watermark accounting applied once. Same non-service semantics as
@@ -189,8 +177,6 @@ class QueueDisc {
   // capacity here only if it already did before the repack; the
   // drain-then-shrink watermark is extended to keep WithinBound() honest.
   void Restore(Packet&& p);
-
-  const Packet* Peek() const { return count_ == 0 ? nullptr : &ring_[head_]; }
 
   bool Empty() const { return count_ == 0; }
   std::uint32_t occupancy() const { return static_cast<std::uint32_t>(count_); }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdio>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -223,10 +224,9 @@ TEST(RunCases, ResultsArriveInInputOrder) {
 // tdtcp-sweep/1 JSON round-trip
 // ---------------------------------------------------------------------------
 
-TEST(ResultIo, JsonRoundTripPreservesScalars) {
-  SweepSpec spec = TinySpec(2);
-  spec.seeds = {1, 2};
-  const SweepResult sweep = RunSweep(spec);
+// SweepFromJson(SweepToJson(sweep)) must give back every scalar metric and
+// aggregate bit-for-bit (%.17g round-trips doubles exactly).
+void ExpectScalarsRoundTrip(const SweepResult& sweep) {
   const std::string json = SweepToJson(sweep);
   EXPECT_NE(json.find(kSweepSchemaVersion), std::string::npos);
 
@@ -242,16 +242,14 @@ TEST(ResultIo, JsonRoundTripPreservesScalars) {
     ASSERT_EQ(rt.runs.size(), orig.runs.size());
     for (std::size_t r = 0; r < orig.runs.size(); ++r) {
       EXPECT_EQ(rt.runs[r].seed, orig.runs[r].seed);
-      // %.17g round-trips doubles exactly.
-      for (const auto& [name, value] : ScalarMetrics(orig.runs[r].result)) {
-        bool matched = false;
-        for (const auto& [rn, rv] : ScalarMetrics(rt.runs[r].result)) {
-          if (rn == name) {
-            matched = true;
-            EXPECT_EQ(rv, value) << name;
-          }
-        }
-        EXPECT_TRUE(matched) << name;
+      const auto want = ScalarMetrics(orig.runs[r].result);
+      const auto got = ScalarMetrics(rt.runs[r].result);
+      ASSERT_EQ(got.size(), want.size());
+      for (std::size_t m = 0; m < want.size(); ++m) {
+        EXPECT_EQ(got[m].first, want[m].first);
+        EXPECT_EQ(got[m].second, want[m].second)
+            << orig.label << " seed " << orig.runs[r].seed << " "
+            << want[m].first;
       }
     }
     ASSERT_EQ(rt.metrics.size(), orig.metrics.size());
@@ -263,6 +261,54 @@ TEST(ResultIo, JsonRoundTripPreservesScalars) {
       EXPECT_EQ(rt.metrics[m].second.n, orig.metrics[m].second.n);
     }
   }
+}
+
+TEST(ResultIo, JsonRoundTripPreservesScalars) {
+  SweepSpec spec = TinySpec(2);
+  spec.seeds = {1, 2};
+  ExpectScalarsRoundTrip(RunSweep(spec));
+
+  // Churn, a perturbed schedule and the convergence oracle (it reads the
+  // trace ring) light up the churn_*, stability_* and schedule metric
+  // families a plain bulk run leaves at zero.
+  PerturbationConfig perturb;
+  perturb.day_skew = 0.2;
+  perturb.jitter = SimTime::Micros(3);
+  ScheduleChange faster;
+  faster.at = SimTime::Millis(1);
+  faster.day_length = SimTime::Micros(90);
+  ScheduleChange shrink;
+  shrink.at = SimTime::Millis(2);
+  shrink.live_tdns = 1;
+  ScheduleChange regrow;
+  regrow.at = SimTime::Millis(3);
+  regrow.live_tdns = 2;
+  perturb.changes = {faster, shrink, regrow};
+  perturb.restarts.push_back(
+      RestartWindow{SimTime::Micros(2500), SimTime::Micros(300)});
+  SweepSpec churn = TinySpec(2);
+  churn.base.WithDuration(SimTime::Millis(4))
+      .WithTrace(1u << 14)
+      .WithChurn(20, SimTime::Micros(150))
+      .WithSchedulePerturbation(perturb);
+  churn.seeds = {1, 2};
+  const SweepResult sweep = RunSweep(churn);
+
+  std::set<std::string> nonzero;
+  for (const SweepCell& cell : sweep.cells) {
+    for (const SweepRun& run : cell.runs) {
+      for (const auto& [name, value] : ScalarMetrics(run.result)) {
+        if (value != 0) nonzero.insert(name);
+      }
+    }
+  }
+  for (const char* name :
+       {"churn_opened", "churn_closed", "churn_bytes", "churn_hash",
+        "churn_all_closed", "churn_fct_m_count", "stability_converged",
+        "schedule_changes", "restart_holds", "tdn_reconfigs"}) {
+    EXPECT_TRUE(nonzero.count(name)) << name << " is zero in every run";
+  }
+  ExpectScalarsRoundTrip(sweep);
 }
 
 TEST(ResultIo, RejectsWrongSchema) {
@@ -307,6 +353,19 @@ TEST(ResultIo, MalformedInputIsRejectedNotUndefinedBehavior) {
   for (const char* text : bad) {
     EXPECT_THROW(ParseJson(text), std::runtime_error) << "input: " << text;
   }
+  // Well-formed JSON whose counter no uint64_t can hold (the cast would be
+  // undefined) is rejected too.
+  const auto sweep_with = [](const std::string& value) {
+    return "{\"schema\":\"tdtcp-sweep/1\",\"jobs\":1,\"wall_seconds\":0,"
+           "\"cells\":[{\"label\":\"tdtcp\",\"variant\":\"tdtcp\","
+           "\"duration_ps\":1,\"runs\":[{\"seed\":1,\"metrics\":{"
+           "\"churn_opened\":" +
+           value + "}}]}]}";
+  };
+  EXPECT_THROW(SweepFromJson(sweep_with("-1")), std::runtime_error);
+  EXPECT_THROW(SweepFromJson(sweep_with("1e300")), std::runtime_error);
+  EXPECT_EQ(SweepFromJson(sweep_with("7")).cells[0].runs[0].result.churn.opened,
+            7u);
 }
 
 TEST(ResultIo, DeeplyNestedInputFailsInsteadOfOverflowingStack) {
@@ -382,6 +441,26 @@ TEST(ResultIo, FileRoundTripAndCsv) {
   EXPECT_GE(rows, 2 + 3);  // 2 seeds + mean/stddev/ci95
   std::remove(json_path.c_str());
   std::remove(csv_path.c_str());
+}
+
+TEST(ResultIo, WritersThrowWhenTheDiskIsFull) {
+  // /dev/full accepts the open and fails every flush with ENOSPC: a writer
+  // must report that rather than leave a truncated file behind.
+  const std::string full = "/dev/full";
+  if (std::FILE* f = std::fopen(full.c_str(), "w")) {
+    std::fclose(f);
+  } else {
+    GTEST_SKIP() << "no " << full << " on this platform";
+  }
+  SweepSpec spec = TinySpec(1);
+  spec.variants = {Variant::kTdtcp};
+  spec.seeds = {1};
+  const SweepResult sweep = RunSweep(spec);
+  EXPECT_THROW(WriteSweepJson(full, sweep), std::runtime_error);
+  EXPECT_THROW(WriteSweepCsv(full, sweep), std::runtime_error);
+  BenchReport report;
+  report.runs.push_back(BenchRun{"BM_Example", 1, 1, 1, 1, {}});
+  EXPECT_THROW(WriteBenchJson(full, report), std::runtime_error);
 }
 
 }  // namespace
