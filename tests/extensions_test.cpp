@@ -4,6 +4,8 @@
 // and the full appendix-A.1 cross-TDN arrival scenario catalogue.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "app/workload.hpp"
 #include "cc/registry.hpp"
 #include "rdcn/rotor_controller.hpp"
@@ -307,6 +309,11 @@ struct A1Scenario {
   std::vector<int> arrivals;
 };
 
+// Prints the scenario name, which ctest then uses as the test name. Without
+// it gtest prints the raw bytes of the struct, pointers included, and the
+// test name would change from build to build.
+void PrintTo(const A1Scenario& s, std::ostream* os) { *os << s.name; }
+
 class AppendixA1 : public ::testing::TestWithParam<A1Scenario> {};
 
 TEST_P(AppendixA1, NoSpuriousRetransmission) {
@@ -369,10 +376,7 @@ INSTANTIATE_TEST_SUITE_P(
         // (g)-(h) double crossing: both directions swap, arrivals end up in
         // sent order — no anomaly visible at the sender.
         A1Scenario{"g_double_cross", {3, 6}},
-        A1Scenario{"h_double_cross_interleaved", {1, 2, 3, 4, 5, 6}}),
-    [](const ::testing::TestParamInfo<A1Scenario>& info) {
-      return info.param.name;
-    });
+        A1Scenario{"h_double_cross_interleaved", {1, 2, 3, 4, 5, 6}}));
 
 }  // namespace
 }  // namespace tdtcp
