@@ -13,6 +13,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "app/experiment.hpp"
 #include "app/result_io.hpp"
@@ -175,6 +177,69 @@ void BM_EventBatchDispatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
 BENCHMARK(BM_EventBatchDispatch)->Arg(0)->Arg(1);
+
+// The rotor-churn event-queue shape, distilled: ~600 packets in flight on
+// one 48 us fabric delay (each re-sent on arrival), plus ~2,000 pending
+// 40 ms slot timeouts of which ~95% are cancelled before they fire. One
+// timeout is armed per 250 arrivals; 19 of every 20 are tracked in 1,900
+// round-robin slots and cancelled when their slot comes round again 38 ms
+// later, and every 20th is left to fire. Arg 0 schedules both streams on
+// the heap, Arg 1 on fixed-delay lanes. Items are events.
+class LaneShape {
+ public:
+  explicit LaneShape(bool lanes)
+      : lanes_(lanes),
+        delivery_lane_(sim_.FixedDelayLane(kDelivery)),
+        timeout_lane_(sim_.FixedDelayLane(kTimeout)),
+        tracked_(1900, kInvalidEventId) {
+    for (int i = 0; i < 600; ++i) {
+      sim_.ScheduleAt(SimTime::Picos(80 * i), [this] { Arrive(); });
+    }
+  }
+  Simulator& sim() { return sim_; }
+
+ private:
+  static constexpr SimTime kDelivery = SimTime::Micros(48);
+  static constexpr SimTime kTimeout = SimTime::Millis(40);
+
+  template <typename F>
+  EventId ScheduleIn(SimTime delay, Simulator::LaneId lane, F&& fn) {
+    return lanes_ ? sim_.ScheduleOnLane(lane, std::forward<F>(fn))
+                  : sim_.Schedule(delay, std::forward<F>(fn));
+  }
+  void Arrive() {
+    if (++arrivals_ % 250 == 0) Arm();
+    ScheduleIn(kDelivery, delivery_lane_, [this] { Arrive(); });
+  }
+  void Arm() {
+    if (++armed_ % 20 == 0) {
+      ScheduleIn(kTimeout, timeout_lane_, [] {});  // left to fire
+      return;
+    }
+    EventId& slot = tracked_[armed_ % tracked_.size()];
+    sim_.Cancel(slot);
+    slot = ScheduleIn(kTimeout, timeout_lane_, [] {});
+  }
+
+  Simulator sim_;
+  bool lanes_;
+  Simulator::LaneId delivery_lane_;
+  Simulator::LaneId timeout_lane_;
+  std::vector<EventId> tracked_;
+  std::uint64_t arrivals_ = 0;
+  std::uint64_t armed_ = 0;
+};
+
+void BM_FixedDelayLane(benchmark::State& state) {
+  LaneShape shape(state.range(0) != 0);
+  Simulator& sim = shape.sim();
+  sim.RunFor(SimTime::Millis(60));  // past one timeout: steady state
+  const std::uint64_t before = sim.events_executed();
+  for (auto _ : state) sim.RunFor(SimTime::Micros(100));
+  state.SetItemsProcessed(
+      static_cast<std::int64_t>(sim.events_executed() - before));
+}
+BENCHMARK(BM_FixedDelayLane)->Arg(0)->Arg(1);
 
 // Scale benchmarks (tracked in BENCH_scale.json): end-to-end simulated
 // events per wall second on the two heaviest standing configurations. Items

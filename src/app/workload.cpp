@@ -272,6 +272,12 @@ ChurnGenerator::ChurnGenerator(Simulator& sim, Topology& topo,
   if (config_.max_concurrent == 0) {
     throw std::invalid_argument("churn: max_concurrent must be > 0");
   }
+  if (config_.slot_timeout <= SimTime::Zero()) {
+    throw std::invalid_argument("churn: slot_timeout must be > 0 (got " +
+                                std::to_string(config_.slot_timeout.picos()) +
+                                "ps)");
+  }
+  timeout_lane_ = sim_.FixedDelayLane(config_.slot_timeout);
   if (config_.min_transfer_bytes == 0 ||
       config_.min_transfer_bytes > config_.max_transfer_bytes) {
     throw std::invalid_argument(
@@ -479,8 +485,8 @@ void ChurnGenerator::OpenSlot(RackId src_rack, std::uint32_t src_host,
   slot.sender->AddAppData(bytes);
   slot.sender->Close();  // lingering close: the FIN rides behind the data
 
-  slot.timeout = sim_.Schedule(config_.slot_timeout,
-                               [this, idx] { OnSlotTimeout(idx); });
+  slot.timeout = sim_.ScheduleOnLane(timeout_lane_,
+                                     [this, idx] { OnSlotTimeout(idx); });
   ++stats_.opened;
   ++stats_.opened_by_variant[static_cast<std::size_t>(variant)];
   ++active_;

@@ -234,7 +234,8 @@ class ChurnGenerator {
   // own splitmix-derived stream, so a source's draw sequence is independent
   // of how arrivals interleave across the fabric.
   // Throws std::invalid_argument when the rack configuration does not fit
-  // the topology (out-of-range racks, src == dst, too few racks).
+  // the topology (out-of-range racks, src == dst, too few racks) or when
+  // slot_timeout is not positive.
   ChurnGenerator(Simulator& sim, Topology& topo, ChurnConfig config,
                  std::uint64_t seed);
   ~ChurnGenerator() = default;
@@ -304,6 +305,9 @@ class ChurnGenerator {
   Simulator& sim_;
   Topology& topo_;
   ChurnConfig config_;
+  // Every slot timeout is opened_at + slot_timeout: one constant-delay
+  // stream, nearly all of it cancelled, kept off the heap by its lane.
+  Simulator::LaneId timeout_lane_ = Simulator::kNoLane;
   TraceRing* trace_ring_ = nullptr;
   Random rng_;
   std::vector<Source> sources_;

@@ -8,12 +8,23 @@ namespace tdtcp {
 FabricPort::FabricPort(Simulator& sim, Config config, PacketSink* remote,
                        Random* rng)
     : sim_(sim), config_(std::move(config)), remote_(remote), rng_(rng),
-      voq_(config_.voq), mode_(config_.initial_mode) {
+      voq_(config_.voq), mode_(config_.initial_mode),
+      prop_lane_(PropagationLane(mode_)) {
   assert(remote_ != nullptr);
+}
+
+Simulator::LaneId FabricPort::PropagationLane(const NetworkMode& mode) {
+  // Without jitter every packet of a mode flies exactly mode.propagation,
+  // so arrivals are FIFO and share that delay's lane. Jitter lets packets
+  // overtake each other, which only the heap can order.
+  const bool jittered = !config_.reorder_jitter.IsZero() && rng_ != nullptr;
+  if (jittered || mode.propagation <= SimTime::Zero()) return Simulator::kNoLane;
+  return sim_.FixedDelayLane(mode.propagation);
 }
 
 void FabricPort::SetMode(const NetworkMode& mode) {
   mode_ = mode;
+  prop_lane_ = PropagationLane(mode_);
   // Pinned packets already admitted to the VOQ must not ride the wrong
   // network: move the ones whose network just went away back to the stash
   // (this is what strands an MPTCP subflow's tail ACKs for a whole week,
@@ -105,14 +116,19 @@ void FabricPort::MaybeTransmit() {
     }
     // Propagation parameters are read at serialization-complete time: a mode
     // change during serialization affects this packet's flight, as before.
-    SimTime prop = mode_.propagation;
-    if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
-      prop += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
-    }
-    sim_.ScheduleNoCancel(prop, [this, p] {
+    const auto arrive = [this, p] {
       remote_->HandlePacket(std::move(*p));
       sim_.ReleasePacket(p);
-    });
+    };
+    if (prop_lane_ != Simulator::kNoLane) {
+      sim_.ScheduleOnLane(prop_lane_, arrive);
+    } else {
+      SimTime prop = mode_.propagation;
+      if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
+        prop += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
+      }
+      sim_.ScheduleNoCancel(prop, arrive);
+    }
     MaybeTransmit();
   });
 }

@@ -81,6 +81,9 @@ class FabricPort {
 
   void TopUpFromStash();
   void MaybeTransmit();
+  // The propagation lane of `mode`, or Simulator::kNoLane when jitter (or a
+  // zero delay) sends its deliveries through the heap.
+  Simulator::LaneId PropagationLane(const NetworkMode& mode);
 
   Simulator& sim_;
   Config config_;
@@ -88,6 +91,7 @@ class FabricPort {
   Random* rng_;
   QueueDisc voq_;
   NetworkMode mode_;
+  Simulator::LaneId prop_lane_;  // PropagationLane(mode_), cached by SetMode
   bool blackout_ = false;
   bool busy_ = false;
   std::deque<Packet> stash_[2];

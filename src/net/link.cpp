@@ -10,6 +10,10 @@ Link::Link(Simulator& sim, Config config, PacketSink* sink, Random* rng)
       queue_(config_.queue) {
   assert(sink_ != nullptr);
   assert(config_.rate_bps > 0);
+  const bool jittered = !config_.reorder_jitter.IsZero() && rng_ != nullptr;
+  if (!jittered && config_.propagation > SimTime::Zero()) {
+    prop_lane_ = sim_.FixedDelayLane(config_.propagation);
+  }
 }
 
 void Link::Enqueue(Packet&& p) {
@@ -48,15 +52,20 @@ void Link::Deliver(Packet* p) {
     sim_.ReleasePacket(p);
     return;  // lost on the wire
   }
+  ++delivered_;
+  const auto arrive = [this, p] {
+    sink_->HandlePacket(std::move(*p));
+    sim_.ReleasePacket(p);
+  };
+  if (prop_lane_ != Simulator::kNoLane) {
+    sim_.ScheduleOnLane(prop_lane_, arrive);
+    return;
+  }
   SimTime delay = config_.propagation;
   if (!config_.reorder_jitter.IsZero() && rng_ != nullptr) {
     delay += rng_->UniformTime(SimTime::Zero(), config_.reorder_jitter);
   }
-  ++delivered_;
-  sim_.ScheduleNoCancel(delay, [this, p] {
-    sink_->HandlePacket(std::move(*p));
-    sim_.ReleasePacket(p);
-  });
+  sim_.ScheduleNoCancel(delay, arrive);
 }
 
 }  // namespace tdtcp

@@ -5,7 +5,10 @@
 // after `propagation`. A link can be disabled (RDCN night): the
 // in-progress transmission completes, queued packets wait. Optional random
 // jitter models intra-TDN reordering (off by default; Fig. 10's baseline
-// reordering experiments enable it).
+// reordering experiments enable it). Without jitter every delivery is
+// exactly `propagation` after its serialization ends, so deliveries ride
+// the simulator's fixed-delay lane for that delay; jittered deliveries can
+// overtake each other and go through the heap.
 #pragma once
 
 #include <cstdint>
@@ -79,6 +82,9 @@ class Link {
   QueueDisc queue_;
   FaultFilter fault_filter_;
   bool has_fault_filter_ = false;
+  // Delivery lane, or Simulator::kNoLane when jitter (or a zero delay)
+  // keeps deliveries off the lanes.
+  Simulator::LaneId prop_lane_ = Simulator::kNoLane;
   bool busy_ = false;
   bool enabled_ = true;
   std::uint64_t delivered_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 
 namespace tdtcp {
 namespace {
@@ -62,10 +63,32 @@ void EventQueue::ThrowSeqExhausted() const {
   throw std::length_error("EventQueue: schedule sequence space exhausted");
 }
 
+void EventQueue::ThrowLaneNotMonotone(LaneId lane, SimTime at) const {
+  throw std::logic_error(
+      "EventQueue::ScheduleOnLane: push at " + std::to_string(at.picos()) +
+      "ps is earlier than the lane's latest push at " +
+      std::to_string(lanes_[lane].tail_at.picos()) + "ps");
+}
+
+EventQueue::LaneId EventQueue::LaneFor(SimTime delay) {
+  if (delay <= SimTime::Zero()) {
+    throw std::invalid_argument("EventQueue::LaneFor: lane delay must be > 0");
+  }
+  for (LaneId l = 0; l < lanes_.size(); ++l) {
+    if (lanes_[l].delay == delay) return l;
+  }
+  if (lanes_.size() >= kMaxLanes) {
+    throw std::length_error("EventQueue: too many fixed-delay lanes (kMaxLanes)");
+  }
+  lanes_.emplace_back();
+  lanes_.back().delay = delay;
+  return static_cast<LaneId>(lanes_.size() - 1);
+}
+
 std::uint32_t EventQueue::AllocNode(std::uint64_t ev) {
   std::uint32_t n = node_free_;
   if (n == kNilNode) {
-    if (nodes_.size() >= kMaxNodes) {
+    if (nodes_.size() >= kLaneNodeBase) {
       throw std::length_error("EventQueue: chain node pool exhausted");
     }
     n = static_cast<std::uint32_t>(nodes_.size());
@@ -118,6 +141,23 @@ EventId EventQueue::ScheduleHeap(SimTime at, std::uint32_t slot) {
   return id;
 }
 
+EventId EventQueue::PushLane(LaneId lane, SimTime at, std::uint32_t slot) {
+  const std::uint64_t seq = NextSeq();
+  SlotRef(slot).live = LiveTag(seq, kInFirstLane + lane);
+  const EventId id = MakeKey(seq, slot);
+  FixedLane& l = lanes_[lane];
+  l.ring.push_back(LaneEntry{at, id});
+  l.tail_at = at;
+  if (!l.in_heap) {
+    // The lane was empty: its new head enters the heap like any event.
+    l.in_heap = true;
+    heap_.push_back(Entry{at, HeapKey(seq, kLaneNodeBase + lane)});
+    SiftUp(heap_.size() - 1);
+  }
+  ++live_count_;
+  return id;
+}
+
 void EventQueue::Cancel(EventId id) {
   const std::uint32_t slot = SlotOf(id);
   if (slot >= slab_size_for_test()) return;  // never existed
@@ -126,20 +166,34 @@ void EventQueue::Cancel(EventId id) {
   // the event already fired, was already cancelled, or the id is bogus. A
   // free slot's tag is 0, which only the (invalid) zero sequence matches.
   const std::uint64_t seq = SeqOf(id);
-  if (seq == 0 || (s.live & ~kLaneFlag) != seq) return;
-  const bool was_lane = (s.live & kLaneFlag) != 0;
+  if (seq == 0 || (s.live & kSeqMask) != seq) return;
+  const std::uint64_t where = s.live >> kSeqBits;
   s.fn.Reset();  // destroy the capture eagerly; the entry is now dead
   s.live = 0;
   free_slots_.push_back(slot);
   --live_count_;
-  if (was_lane) {
-    ++lane_dead_;
-  } else {
+  if (where == kInHeap) {
     // The chain node stays linked (O(1) cancel); drain skips it lazily and
     // compaction reclaims it wholesale.
     ++heap_dead_;
     MaybeCompact();
+  } else if (where == kInZeroLane) {
+    ++zero_lane_dead_;
+  } else {
+    FixedLane& l = lanes_[where - kInFirstLane];
+    if (++l.dead * 2 > l.ring.size()) CompactLane(l);
   }
+}
+
+void EventQueue::CompactLane(FixedLane& lane) {
+  // O(ring) per pass, and a pass needs more dead entries than live ones, so
+  // the cost amortizes to O(1) per cancel. The lane's heap key may now name
+  // a removed head; it stays a lower bound and SettleLaneFront re-keys it.
+  const std::size_t removed =
+      lane.ring.RemoveIf([this](const LaneEntry& e) { return EventDead(e.key); });
+  lane.dead -= removed;
+  counters_.dead_dropped += removed;
+  ++counters_.compactions;
 }
 
 // The heap is 4-ary: half the dependent levels of a binary heap, and the
@@ -196,6 +250,25 @@ void EventQueue::SiftDown(std::size_t i) {
   heap_[hole] = e;
 }
 
+void EventQueue::SiftDownFront() {
+  const std::size_t n = heap_.size();
+  const Entry e = heap_[0];
+  std::size_t hole = 0;
+  for (;;) {
+    const std::size_t first = kHeapArity * hole + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kHeapArity, n);
+    std::size_t best = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (After(heap_[best], heap_[c])) best = c;
+    }
+    if (!After(e, heap_[best])) break;
+    heap_[hole] = heap_[best];
+    hole = best;
+  }
+  heap_[hole] = e;
+}
+
 void EventQueue::HeapPopTop() {
   heap_.front() = heap_.back();
   heap_.pop_back();
@@ -204,39 +277,66 @@ void EventQueue::HeapPopTop() {
 
 void EventQueue::DropDeadHeads() {
   // The dead counters gate the slot probes: with no pending cancellations
-  // (the common case) this is two compare-to-zero branches, no slab reads.
-  if (lane_dead_ != 0) {
-    while (lane_count_ != 0 && EventDead(lane_[lane_head_].key)) {
-      LanePop();
-      --lane_dead_;
+  // (the common case) a cohort front costs two compare-to-zero branches and
+  // no slab reads. A lane front is always checked against its ring head,
+  // which the caller is about to read anyway.
+  if (zero_lane_dead_ != 0) {
+    while (!zero_lane_.empty() && EventDead(zero_lane_.front().key)) {
+      zero_lane_.pop_front();
+      --zero_lane_dead_;
       ++counters_.dead_dropped;
     }
   }
-  if (heap_dead_ != 0) {
-    while (!heap_.empty()) {
-      Entry& front = heap_.front();
-      const std::uint32_t head =
-          static_cast<std::uint32_t>(front.key & kNodeIndexMask);
-      if (!EventDead(nodes_[head].ev)) break;
-      const std::uint32_t next = nodes_[head].next;
-      FreeNode(head);
-      --heap_nodes_;
-      --heap_dead_;
-      ++counters_.dead_dropped;
-      if (next == kNilNode) {
-        // Whole cohort gone: the cache entry (if still ours) must die with
-        // it, or a later same-time schedule would append to a freed node.
-        ClearCohortRef(front.at);
-        HeapPopTop();
-      } else {
-        // Advance the cohort in place. The front stays the true minimum:
-        // within the chain seqs ascend, and any same-time twin was created
-        // strictly later, so all its seqs are larger than the whole chain.
-        front.key = HeapKey(nodes_[next].ev >> kSlotIndexBits, next);
-      }
-      if (heap_dead_ == 0) break;
+  while (!heap_.empty()) {
+    Entry& front = heap_.front();
+    const std::uint32_t head =
+        static_cast<std::uint32_t>(front.key & kNodeIndexMask);
+    if (head >= kLaneNodeBase) {
+      if (SettleLaneFront(head - kLaneNodeBase)) return;
+      continue;
+    }
+    if (heap_dead_ == 0 || !EventDead(nodes_[head].ev)) return;
+    const std::uint32_t next = nodes_[head].next;
+    FreeNode(head);
+    --heap_nodes_;
+    --heap_dead_;
+    ++counters_.dead_dropped;
+    if (next == kNilNode) {
+      // Whole cohort gone: the cache entry (if still ours) must die with
+      // it, or a later same-time schedule would append to a freed node.
+      ClearCohortRef(front.at);
+      HeapPopTop();
+    } else {
+      // Advance the cohort in place. Same-time twins hold disjoint, later
+      // seq ranges, but a lane head at this time may sit between two chain
+      // seqs, so the front must be re-sifted.
+      front.key = HeapKey(nodes_[next].ev >> kSlotIndexBits, next);
+      SiftDownFront();
     }
   }
+}
+
+bool EventQueue::SettleLaneFront(LaneId lane) {
+  FixedLane& l = lanes_[lane];
+  if (l.dead != 0) {
+    while (!l.ring.empty() && EventDead(l.ring.front().key)) {
+      l.ring.pop_front();
+      --l.dead;
+      ++counters_.dead_dropped;
+    }
+  }
+  if (l.ring.empty()) {
+    l.in_heap = false;
+    HeapPopTop();
+    return false;
+  }
+  Entry& front = heap_.front();
+  const LaneEntry& h = l.ring.front();
+  // Seqs are unique, so a matching seq means the key is the head's own.
+  if (SeqOf(h.key) == HeapFirstSeq(front)) return true;
+  front = Entry{h.at, HeapKey(SeqOf(h.key), kLaneNodeBase + lane)};
+  SiftDownFront();
+  return false;
 }
 
 void EventQueue::MaybeCompact() {
@@ -252,6 +352,10 @@ void EventQueue::Compact() {
   std::size_t w = 0;
   for (std::size_t r = 0; r < heap_.size(); ++r) {
     const Entry e = heap_[r];
+    if ((e.key & kNodeIndexMask) >= kLaneNodeBase) {
+      heap_[w++] = e;  // a lane head: its ring compacts on its own
+      continue;
+    }
     std::uint32_t head = kNilNode;
     std::uint32_t tail = kNilNode;
     std::uint32_t cur = static_cast<std::uint32_t>(e.key & kNodeIndexMask);
@@ -288,12 +392,12 @@ void EventQueue::Compact() {
 
 SimTime EventQueue::NextTime() {
   DropDeadHeads();
-  const LaneEntry* lane = LaneFront();
+  const LaneEntry* lane = ZeroLaneFront();
   if (lane == nullptr) {
     return heap_.empty() ? SimTime::Max() : heap_.front().at;
   }
-  // Lane entries were scheduled at what was then "now", which can only be at
-  // or before every heap entry's time.
+  // Zero-delay entries were scheduled at what was then "now", which can only
+  // be at or before every heap entry's time.
   return lane->at;
 }
 
@@ -301,6 +405,7 @@ std::uint64_t EventQueue::TakeHeapHead() {
   Entry& front = heap_.front();
   const std::uint32_t head =
       static_cast<std::uint32_t>(front.key & kNodeIndexMask);
+  if (head >= kLaneNodeBase) return TakeLaneHead(head - kLaneNodeBase);
   Node& nd = nodes_[head];
   const std::uint64_t ev = nd.ev;
   // The winner's slot line is needed right after the structural pop;
@@ -316,6 +421,27 @@ std::uint64_t EventQueue::TakeHeapHead() {
     HeapPopTop();
   } else {
     front.key = HeapKey(nodes_[next].ev >> kSlotIndexBits, next);
+    SiftDownFront();
+  }
+  return ev;
+}
+
+std::uint64_t EventQueue::TakeLaneHead(LaneId lane) {
+  FixedLane& l = lanes_[lane];
+  const std::uint64_t ev = l.ring.front().key;
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(&SlotRef(SlotOf(ev)), 1 /*write*/);
+#endif
+  l.ring.pop_front();
+  if (l.ring.empty()) {
+    l.in_heap = false;
+    HeapPopTop();
+  } else {
+    // The next entry (live or not) bounds the lane from below; a dead one
+    // is dropped when it surfaces.
+    const LaneEntry& next = l.ring.front();
+    heap_.front() = Entry{next.at, HeapKey(SeqOf(next.key), kLaneNodeBase + lane)};
+    SiftDownFront();
   }
   return ev;
 }
@@ -323,18 +449,19 @@ std::uint64_t EventQueue::TakeHeapHead() {
 EventQueue::Taken EventQueue::TakeNextEntry() {
   DropDeadHeads();
   assert(live_count_ > 0);
-  const LaneEntry* lane = LaneFront();
+  const LaneEntry* lane = ZeroLaneFront();
   if (lane != nullptr) {
-    // A heap cohort at the same instant whose head has a smaller sequence
-    // number was scheduled earlier and must keep its FIFO position. Lane
-    // keys and heap keys use different layouts, so compare seqs explicitly.
+    // A heap entry at the same instant whose head has a smaller sequence
+    // number was scheduled earlier and must keep its FIFO position.
+    // Zero-delay lane keys and heap keys use different layouts, so compare
+    // seqs explicitly.
     const bool lane_first =
         heap_.empty() || lane->at < heap_.front().at ||
         (lane->at == heap_.front().at &&
          SeqOf(lane->key) < HeapFirstSeq(heap_.front()));
     if (lane_first) {
       const Taken t{lane->at, lane->key};
-      LanePop();
+      zero_lane_.pop_front();
       return t;
     }
   }
@@ -373,7 +500,7 @@ void EventQueue::RunNext(SimTime& now_out) {
 std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
   DropDeadHeads();
   if (live_count_ == 0) return 0;
-  const LaneEntry* lf = LaneFront();
+  const LaneEntry* lf = ZeroLaneFront();
   SimTime t = lf != nullptr ? lf->at : heap_.front().at;
   if (lf != nullptr && !heap_.empty() && heap_.front().at < t) {
     t = heap_.front().at;
@@ -382,13 +509,13 @@ std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
   std::size_t n = 0;
   while (!stop) {
     DropDeadHeads();
-    const LaneEntry* lane = LaneFront();
+    const LaneEntry* lane = ZeroLaneFront();
     const bool heap_ready = !heap_.empty() && heap_.front().at == t;
     std::uint64_t ev;
     if (lane != nullptr && lane->at == t &&
         (!heap_ready || SeqOf(lane->key) < HeapFirstSeq(heap_.front()))) {
       ev = lane->key;
-      LanePop();
+      zero_lane_.pop_front();
     } else if (heap_ready) {
       ev = TakeHeapHead();
     } else {
@@ -409,23 +536,18 @@ std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
   return n;
 }
 
-void EventQueue::LanePush(const LaneEntry& e) {
-  if (lane_count_ == lane_.size()) {
+void EventQueue::Ring::push_back(const LaneEntry& e) {
+  if (count_ == buf_.size()) {
     // Grow and re-linearize (power-of-two sizes keep the index mask cheap).
-    std::vector<LaneEntry> bigger(std::max<std::size_t>(8, lane_.size() * 2));
-    for (std::size_t i = 0; i < lane_count_; ++i) {
-      bigger[i] = lane_[(lane_head_ + i) & (lane_.size() - 1)];
+    std::vector<LaneEntry> bigger(std::max<std::size_t>(8, buf_.size() * 2));
+    for (std::size_t i = 0; i < count_; ++i) {
+      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
     }
-    lane_ = std::move(bigger);
-    lane_head_ = 0;
+    buf_ = std::move(bigger);
+    head_ = 0;
   }
-  lane_[(lane_head_ + lane_count_) & (lane_.size() - 1)] = e;
-  ++lane_count_;
-}
-
-void EventQueue::LanePop() {
-  lane_head_ = (lane_head_ + 1) & (lane_.size() - 1);
-  --lane_count_;
+  buf_[(head_ + count_) & (buf_.size() - 1)] = e;
+  ++count_;
 }
 
 }  // namespace tdtcp

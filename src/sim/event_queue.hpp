@@ -32,14 +32,27 @@
 //    pattern in link/queue handoff) bypass the heap entirely through a FIFO
 //    lane, while the shared sequence counter keeps the combined firing
 //    order identical to a single heap keyed on (time, schedule order).
+//  * Fixed-delay LANES carry constant-delay event streams (link and fabric
+//    propagation, the churn slot timeout). Every push onto a lane is at
+//    now + d for one d > 0, so a lane's entries are already sorted by
+//    (time, seq) and it needs one heap entry, keyed by its head, instead of
+//    one per pending event. A push earlier than the lane's latest push
+//    throws. Cancel stays O(1) (dead heads are skipped lazily) and a cancel
+//    that leaves more than half of a lane's entries dead compacts it in
+//    place. A
+//    lane's heap key may lag behind its first live entry after a cancel or
+//    a compaction; it is only ever a lower bound, and it is re-keyed when it
+//    reaches the heap front.
 //
 // RunBatch() drains every event sharing the earliest timestamp (heap cohort
-// twins + same-time lane arrivals, merged in seq order) in one call.
+// twins, lane heads + same-time zero-delay arrivals, merged in seq order) in
+// one call.
 #pragma once
 
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -177,8 +190,13 @@ class EventQueue {
   // — Schedule throws rather than corrupting order).
   static constexpr std::uint32_t kSlotIndexBits = 20;
   static constexpr std::uint32_t kMaxSlots = 1u << kSlotIndexBits;
-  static constexpr std::uint64_t kMaxSeq =
-      (std::uint64_t{1} << (63 - kSlotIndexBits)) - 1;
+  static constexpr std::uint32_t kSeqBits = 63 - kSlotIndexBits;
+  static constexpr std::uint64_t kMaxSeq = (std::uint64_t{1} << kSeqBits) - 1;
+
+  // A fixed-delay lane, named by LaneFor(). At most kMaxLanes distinct
+  // delays per queue.
+  using LaneId = std::uint32_t;
+  static constexpr std::uint32_t kMaxLanes = 256;
 
   EventQueue();
 
@@ -197,10 +215,27 @@ class EventQueue {
   EventId ScheduleImmediate(SimTime at, F&& fn) {
     const std::uint32_t slot = AcquireSlot(std::forward<F>(fn));
     const std::uint64_t seq = NextSeq();
-    SlotRef(slot).live = seq | kLaneFlag;
-    LanePush(LaneEntry{at, MakeKey(seq, slot)});
+    SlotRef(slot).live = LiveTag(seq, kInZeroLane);
+    zero_lane_.push_back(LaneEntry{at, MakeKey(seq, slot)});
     ++live_count_;
     return MakeKey(seq, slot);
+  }
+
+  // The lane for constant delay `delay` (> 0, else std::invalid_argument):
+  // one lane per distinct delay, shared by every caller asking for it.
+  // Allocates only when the delay is new; std::length_error past kMaxLanes.
+  LaneId LaneFor(SimTime delay);
+  SimTime lane_delay(LaneId lane) const { return lanes_[lane].delay; }
+
+  // Schedules onto `lane`. The caller passes now + lane_delay(lane), so
+  // `at` never decreases along a lane; an `at` earlier than the lane's
+  // latest push throws std::logic_error (nothing is scheduled). Fires in
+  // exactly the (time, schedule order) position Schedule(at, ...) would.
+  template <typename F>
+  EventId ScheduleOnLane(LaneId lane, SimTime at, F&& fn) {
+    if (at < lanes_[lane].tail_at) ThrowLaneNotMonotone(lane, at);
+    const std::uint32_t slot = AcquireSlot(std::forward<F>(fn));
+    return PushLane(lane, at, slot);
   }
 
   // Cancels a pending event. Cancelling an already-fired, already-cancelled,
@@ -253,7 +288,7 @@ class EventQueue {
     std::uint64_t max_batch = 0;     // largest single batch
     std::uint64_t cohort_hits = 0;   // O(1) same-time appends (sift skipped)
     std::uint64_t dead_dropped = 0;  // cancelled entries reclaimed lazily
-    std::uint64_t compactions = 0;   // whole-heap compaction passes
+    std::uint64_t compactions = 0;   // heap and lane compaction passes
   };
   const Counters& counters() const { return counters_; }
 
@@ -263,8 +298,13 @@ class EventQueue {
   }
   static std::uint64_t SeqOf(EventId id) { return id >> kSlotIndexBits; }
   // Backing-store sizes, for compaction tests. heap_storage counts heap
-  // entries (one per distinct pending timestamp, dead cohorts included).
+  // entries (one per distinct pending timestamp, dead cohorts included, and
+  // one per lane holding entries).
   std::size_t heap_storage_for_test() const { return heap_.size(); }
+  // Entries held by a lane's ring, dead ones included.
+  std::size_t lane_storage_for_test(LaneId lane) const {
+    return lanes_[lane].ring.size();
+  }
   std::size_t slab_size_for_test() const {
     return slot_blocks_.size() * kSlotBlock;
   }
@@ -308,17 +348,26 @@ class EventQueue {
   static constexpr std::uint32_t kNodeIndexBits = kSlotIndexBits + 1;
   static constexpr std::uint32_t kMaxNodes = 1u << kNodeIndexBits;
   static constexpr std::uint64_t kNodeIndexMask = kMaxNodes - 1;
-  static_assert(kNodeIndexBits + 43 <= 64, "heap key overflow");
+  static_assert(kNodeIndexBits + kSeqBits <= 64, "heap key overflow");
+  // The top kMaxLanes node indices name lanes, not chain nodes: a heap entry
+  // whose key carries kLaneNodeBase + l is lane l's head.
+  static constexpr std::uint32_t kLaneNodeBase = kMaxNodes - kMaxLanes;
 
   // One cache line: 48B capture + ops pointer + live tag.
   struct Slot {
     InlineEvent fn;
-    // Sequence number of the pending event occupying this slot (bit 63 set
-    // when the entry is in the zero-delay lane, not the heap); 0 when free
-    // or dead.
+    // Sequence number of the pending event occupying this slot in the low
+    // kSeqBits, and above them where its entry waits: kInHeap, kInZeroLane,
+    // or kInFirstLane + l for fixed-delay lane l. 0 when free or dead.
     std::uint64_t live = 0;
   };
-  static constexpr std::uint64_t kLaneFlag = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kSeqMask = kMaxSeq;
+  static constexpr std::uint64_t kInHeap = 0;
+  static constexpr std::uint64_t kInZeroLane = 1;
+  static constexpr std::uint64_t kInFirstLane = 2;
+  static std::uint64_t LiveTag(std::uint64_t seq, std::uint64_t where) {
+    return seq | (where << kSeqBits);
+  }
 
   static EventId MakeKey(std::uint64_t seq, std::uint32_t slot) {
     return (seq << kSlotIndexBits) | slot;
@@ -344,6 +393,7 @@ class EventQueue {
     return seq_++;
   }
   [[noreturn]] void ThrowSeqExhausted() const;
+  [[noreturn]] void ThrowLaneNotMonotone(LaneId lane, SimTime at) const;
 
   // Slots live in fixed-size blocks so growth never relocates a live slot —
   // the run loop invokes callbacks in place, and a callback scheduling new
@@ -370,7 +420,7 @@ class EventQueue {
   void GrowSlab();
 
   bool EventDead(std::uint64_t ev) const {
-    return (SlotRef(SlotOf(ev)).live & ~kLaneFlag) != (ev >> kSlotIndexBits);
+    return (SlotRef(SlotOf(ev)).live & kSeqMask) != SeqOf(ev);
   }
 
   // --- cohort plumbing -------------------------------------------------------
@@ -410,15 +460,17 @@ class EventQueue {
   void InvalidateCohortCache();
 
   EventId ScheduleHeap(SimTime at, std::uint32_t slot);
+  EventId PushLane(LaneId lane, SimTime at, std::uint32_t slot);
   std::uint32_t AllocNode(std::uint64_t ev);
   void FreeNode(std::uint32_t n) {
     nodes_[n].next = node_free_;
     node_free_ = n;
   }
-  // Detaches and frees the heap front's chain head (advancing the cohort or
-  // popping the entry) and returns the event id. Precondition: the head
-  // node's event is live.
+  // Detaches the heap front's head event (advancing its cohort or lane, or
+  // popping the entry) and returns the event id. Precondition: the front
+  // is settled (DropDeadHeads ran), so its head event is live.
   std::uint64_t TakeHeapHead();
+  std::uint64_t TakeLaneHead(LaneId lane);
 
   static constexpr std::size_t kHeapArity = 4;
 
@@ -463,18 +515,69 @@ class EventQueue {
   Taken TakeNextEntry();
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
+  // Restores heap order after the front's key grew. Top-down with an early
+  // exit: a re-keyed cohort or lane head usually stays at or near the top.
+  void SiftDownFront();
   void HeapPopTop();
+  // Leaves the heap front and the zero-delay lane's head live, with the
+  // front keyed by its true head.
   void DropDeadHeads();
+  // Drops lane `lane`'s dead heads and re-keys or pops its heap entry, which
+  // is the front. True when the front was already keyed by a live head;
+  // false when it changed, so the caller must look at the front again.
+  bool SettleLaneFront(LaneId lane);
   // Rebuilds the heap without dead chain nodes once they exceed half the
   // pending pool, so cancel-heavy workloads (RTO timers under low loss)
   // stay bounded.
   void MaybeCompact();
   void Compact();
 
-  void LanePush(const LaneEntry& e);
-  void LanePop();
-  const LaneEntry* LaneFront() const {
-    return lane_count_ == 0 ? nullptr : &lane_[lane_head_];
+  // Power-of-two circular FIFO of lane entries: the zero-delay lane and
+  // the ring of every fixed-delay lane.
+  class Ring {
+   public:
+    bool empty() const { return count_ == 0; }
+    std::size_t size() const { return count_; }
+    const LaneEntry& front() const { return buf_[head_]; }
+    void push_back(const LaneEntry& e);
+    void pop_front() {
+      head_ = (head_ + 1) & (buf_.size() - 1);
+      --count_;
+    }
+    // Stable in-place removal; returns how many entries were removed.
+    template <typename Pred>
+    std::size_t RemoveIf(Pred dead) {
+      const std::size_t mask = buf_.size() - 1;
+      std::size_t w = 0;
+      for (std::size_t r = 0; r < count_; ++r) {
+        const LaneEntry e = buf_[(head_ + r) & mask];
+        if (!dead(e)) buf_[(head_ + w++) & mask] = e;
+      }
+      const std::size_t removed = count_ - w;
+      count_ = w;
+      return removed;
+    }
+
+   private:
+    std::vector<LaneEntry> buf_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+  };
+
+  struct FixedLane {
+    SimTime delay;
+    // Time of the latest push (pushes may not go backwards); starts below
+    // every representable time so a fresh lane accepts any first push.
+    SimTime tail_at = SimTime::Picos(std::numeric_limits<std::int64_t>::min());
+    Ring ring;
+    std::size_t dead = 0;  // cancelled entries still in the ring
+    bool in_heap = false;  // owns one heap entry (possibly a lagging key)
+  };
+  // In-place removal of a lane's dead entries once they are the majority.
+  void CompactLane(FixedLane& lane);
+
+  const LaneEntry* ZeroLaneFront() const {
+    return zero_lane_.empty() ? nullptr : &zero_lane_.front();
   }
 
   std::vector<std::unique_ptr<Slot[]>> slot_blocks_;
@@ -484,14 +587,13 @@ class EventQueue {
   std::uint32_t node_free_ = kNilNode;
   std::unique_ptr<CohortSet[]> cohort_cache_;
   std::uint32_t cohort_rr_ = 0;  // round-robin way replacement cursor
-  std::vector<LaneEntry> lane_;  // circular; size is a power of two
-  std::size_t lane_head_ = 0;
-  std::size_t lane_count_ = 0;
+  Ring zero_lane_;
+  std::vector<FixedLane> lanes_;
   std::uint64_t seq_ = 1;
   std::size_t live_count_ = 0;
   std::size_t heap_nodes_ = 0;  // chain nodes linked into the heap (incl. dead)
   std::size_t heap_dead_ = 0;   // dead chain nodes
-  std::size_t lane_dead_ = 0;
+  std::size_t zero_lane_dead_ = 0;
   Counters counters_;
 };
 

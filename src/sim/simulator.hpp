@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -60,6 +61,21 @@ class Simulator {
     (void)ScheduleAt(at, std::forward<F>(fn));
   }
 
+  // Fixed-delay lanes (see event_queue.hpp): a constant-delay event stream
+  // scheduled through its lane costs one heap entry for the whole stream
+  // instead of one per pending event, and fires exactly where Schedule(delay,
+  // ...) would. Look the lane up once (FixedDelayLane allocates when the
+  // delay is new; `delay` must be > 0) and schedule onto it per event.
+  using LaneId = EventQueue::LaneId;
+  // Names no lane: what a caller that keeps its stream on the heap stores.
+  static constexpr LaneId kNoLane = std::numeric_limits<LaneId>::max();
+  LaneId FixedDelayLane(SimTime delay) { return queue_.LaneFor(delay); }
+  template <typename F>
+  EventId ScheduleOnLane(LaneId lane, F&& fn) {
+    return queue_.ScheduleOnLane(lane, now_ + queue_.lane_delay(lane),
+                                 std::forward<F>(fn));
+  }
+
   void Cancel(EventId id) { queue_.Cancel(id); }
 
   // Runs until the event list drains or Stop() is called.
@@ -93,7 +109,7 @@ class Simulator {
     std::uint64_t max_batch = 0;     // largest same-timestamp batch
     std::uint64_t cohort_hits = 0;   // O(1) same-time appends (no sift)
     std::uint64_t dead_dropped = 0;  // cancelled entries reclaimed lazily
-    std::uint64_t compactions = 0;   // whole-heap compaction passes
+    std::uint64_t compactions = 0;   // heap and lane compaction passes
   };
   Stats GetStats() const {
     const EventQueue::Counters& c = queue_.counters();

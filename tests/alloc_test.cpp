@@ -47,6 +47,35 @@ TEST(AllocFree, SelfReschedulingTimerSteadyState) {
   EXPECT_EQ(d.deletes, 0u);
 }
 
+TEST(AllocFree, FixedDelayLaneScheduleCancelSteadyState) {
+  // The churn slot-timeout pattern: arm a 40 ms timeout per lifecycle and
+  // cancel it when the lifecycle ends, with ~100 lifecycles open at once.
+  // One lifecycle outlives the soak, so its timeout stays at the lane's
+  // head and every cancelled entry behind it must leave by compaction.
+  Simulator sim;
+  const Simulator::LaneId lane = sim.FixedDelayLane(SimTime::Millis(40));
+  std::int64_t fired = 0;
+  sim.ScheduleOnLane(lane, [&fired] { ++fired; });
+  EventId open[100] = {};
+  std::size_t next = 0;
+  const auto cycle = [&] {
+    EventId& slot = open[next++ % 100];
+    sim.Cancel(slot);
+    slot = sim.ScheduleOnLane(lane, [&fired] { ++fired; });
+    // Time moves on, slower than the timeout: nothing fires.
+    sim.RunFor(SimTime::Micros(1));
+  };
+  for (int i = 0; i < 1000; ++i) cycle();  // warmup grows slab, ring, heap
+
+  const AllocDelta d = CountAllocations([&] {
+    for (int i = 0; i < 10000; ++i) cycle();
+  });
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(sim.pending_events(), 101u);
+  EXPECT_EQ(d.news, 0u) << "lane schedule/cancel steady state allocated";
+  EXPECT_EQ(d.deletes, 0u);
+}
+
 // Two links forwarding into each other through a bouncing sink: the
 // Link -> Queue -> event -> deliver -> Link cycle exercises the packet
 // freelist and the zero-copy handoff.

@@ -3,7 +3,8 @@
 // Two contracts:
 //  - sim core: RunBatch dispatches in exactly the order the sequential
 //    RunNext loop would, including randomized same-timestamp collisions,
-//    mid-batch immediate-lane arrivals, and cancellations;
+//    mid-batch immediate-lane arrivals, and cancellations — and routing
+//    the fixed-delay events through lanes changes nothing;
 //  - experiment level: a seeded churn + fault + trace run is bit-identical
 //    (trace_hash / churn_hash / totals) with batched dispatch forced on and
 //    forced off.
@@ -46,11 +47,17 @@ struct Lcg {
 // Schedules `rounds` wavefronts of events with heavy timestamp collisions;
 // handlers re-schedule (same tick via the immediate lane, and into the
 // future), and every third event schedules a victim it then cancels.
-// Returns a digest of (now, marker) in firing order.
-std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched) {
+// With `lanes` every future event goes through the fixed-delay lane of its
+// delay instead of the heap. Returns a digest of (now, marker) in firing
+// order.
+std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched, bool lanes) {
   Simulator sim;
   sim.set_batched_dispatch(batched);
   Lcg rng(seed);
+  const auto schedule_in = [&sim, lanes](SimTime delay, auto&& fn) {
+    return lanes ? sim.ScheduleOnLane(sim.FixedDelayLane(delay), fn)
+                 : sim.Schedule(delay, fn);
+  };
   Fnv hash;
   std::uint64_t spawned = 0;
 
@@ -71,12 +78,12 @@ std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched) {
       // Future event, colliding with other handlers' picks (mod 7 ticks).
       ++spawned;
       const std::uint64_t m = marker * 31 + 2;
-      sim.Schedule(SimTime::Nanos(1 + (r >> 8) % 7), [&fire, m] { fire(m); });
+      schedule_in(SimTime::Nanos(1 + (r >> 8) % 7), [&fire, m] { fire(m); });
     }
     if (r % 5 == 0) {
       // Schedule-then-cancel: the dead entry must be invisible in both modes.
-      EventId victim = sim.Schedule(SimTime::Nanos(1 + (r >> 16) % 5),
-                                    [&hash] { hash.Mix(0xdeadu); });
+      EventId victim = schedule_in(SimTime::Nanos(1 + (r >> 16) % 5),
+                                   [&hash] { hash.Mix(0xdeadu); });
       sim.Cancel(victim);
     }
   };
@@ -93,10 +100,18 @@ std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched) {
 
 TEST(BatchSoak, RandomizedFiringOrderMatchesSequential) {
   for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
-    const std::uint64_t batched = RunRandomSoak(seed, true);
-    const std::uint64_t sequential = RunRandomSoak(seed, false);
+    const std::uint64_t batched = RunRandomSoak(seed, true, false);
+    const std::uint64_t sequential = RunRandomSoak(seed, false, false);
     EXPECT_EQ(batched, sequential) << "seed " << seed;
     EXPECT_NE(batched, 0u);
+  }
+}
+
+TEST(BatchSoak, FixedDelayLanesMatchHeapOnlyOrder) {
+  for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
+    const std::uint64_t heap_only = RunRandomSoak(seed, false, false);
+    EXPECT_EQ(RunRandomSoak(seed, true, true), heap_only) << "seed " << seed;
+    EXPECT_EQ(RunRandomSoak(seed, false, true), heap_only) << "seed " << seed;
   }
 }
 

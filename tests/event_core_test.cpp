@@ -1,8 +1,9 @@
 // The allocation-free event core's contract (see event_queue.hpp): exact
 // FIFO among equal timestamps no matter how slots are recycled, O(1)
 // sequence-tagged cancellation that can never alias a later event, the
-// zero-delay lane's ordering against the heap, dead-entry compaction, and
-// end-to-end bit-identity of a seeded RDCN run.
+// zero-delay lane's and the fixed-delay lanes' ordering against the heap,
+// dead-entry compaction, and end-to-end bit-identity of a seeded RDCN run
+// (plus golden outcomes pinned across event-core changes).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "app/experiment.hpp"
+#include "app/flow_cdf.hpp"
 #include "cc/registry.hpp"
 #include "net/topology.hpp"
 #include "rdcn/controller.hpp"
@@ -256,6 +258,193 @@ TEST(EventCore, SeededRdcnRunIsBitIdentical) {
   const std::uint64_t b = RunSeededRdcnAndHashPackets();
   EXPECT_EQ(a, b);
   EXPECT_NE(a, 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Fixed-delay lanes
+// ---------------------------------------------------------------------------
+
+TEST(EventCore, LaneHeapAndZeroDelayEventsAtOneTimeFireInScheduleOrder) {
+  // Heap events 0, 2, 4 at 10 ns share one cohort chain; lane events 1 and 3
+  // land at the same instant with seqs between them, so advancing the
+  // cohort must give way to the lane. The zero-delay events spawned at
+  // 10 ns come last.
+  for (const bool batched : {true, false}) {
+    SCOPED_TRACE(batched ? "batched" : "sequential");
+    Simulator sim;
+    sim.set_batched_dispatch(batched);
+    const Simulator::LaneId lane = sim.FixedDelayLane(SimTime::Nanos(10));
+    std::vector<int> order;
+    sim.ScheduleAt(SimTime::Nanos(10), [&] {
+      order.push_back(0);
+      sim.Schedule(SimTime::Zero(), [&order] { order.push_back(5); });
+    });
+    sim.ScheduleOnLane(lane, [&order] { order.push_back(1); });
+    sim.ScheduleAt(SimTime::Nanos(10), [&order] { order.push_back(2); });
+    sim.ScheduleOnLane(lane, [&order] { order.push_back(3); });
+    sim.ScheduleAt(SimTime::Nanos(10), [&] {
+      order.push_back(4);
+      sim.Schedule(SimTime::Zero(), [&order] { order.push_back(6); });
+    });
+    // Later and earlier heap neighbours of the lane's instant.
+    sim.ScheduleAt(SimTime::Nanos(11), [&order] { order.push_back(7); });
+    sim.ScheduleAt(SimTime::Nanos(9), [&order] { order.push_back(-1); });
+    sim.Run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
+  }
+}
+
+TEST(EventCore, LanesAreSharedByDelayAndRejectNonPositiveDelays) {
+  EventQueue q;
+  const EventQueue::LaneId a = q.LaneFor(SimTime::Micros(48));
+  const EventQueue::LaneId b = q.LaneFor(SimTime::Micros(18));
+  EXPECT_NE(a, b);
+  EXPECT_EQ(q.LaneFor(SimTime::Micros(48)), a);
+  EXPECT_EQ(q.lane_delay(b), SimTime::Micros(18));
+  EXPECT_THROW(q.LaneFor(SimTime::Zero()), std::invalid_argument);
+  EXPECT_THROW(q.LaneFor(SimTime::Nanos(-1)), std::invalid_argument);
+}
+
+TEST(EventCore, CancelLaneHeadMiddleAndTail) {
+  EventQueue q;
+  const EventQueue::LaneId lane = q.LaneFor(SimTime::Nanos(100));
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  for (int i = 0; i < 7; ++i) {
+    ids.push_back(q.ScheduleOnLane(lane, SimTime::Nanos(100 + 10 * i),
+                                   [&fired, i] { fired.push_back(i); }));
+  }
+  // A heap event between the lane's entries keeps the merge honest.
+  q.Schedule(SimTime::Nanos(135), [&fired] { fired.push_back(100); });
+  q.Cancel(ids[0]);  // head
+  q.Cancel(ids[3]);  // middle
+  q.Cancel(ids[6]);  // tail
+  q.Cancel(ids[3]);  // double cancel: no-op
+  EXPECT_EQ(q.size(), 5u);
+  EXPECT_EQ(q.NextTime(), SimTime::Nanos(110));  // the head's lag is settled
+  Drain(q);
+  EXPECT_EQ(fired, (std::vector<int>{1, 2, 100, 4, 5}));
+  EXPECT_TRUE(q.Empty());
+  // Cancelling everything left on a lane empties it; the lane keeps working.
+  const EventId only = q.ScheduleOnLane(lane, SimTime::Nanos(500), [] {});
+  q.Cancel(only);
+  EXPECT_TRUE(q.Empty());
+  EXPECT_EQ(q.NextTime(), SimTime::Max());
+  q.ScheduleOnLane(lane, SimTime::Nanos(600),
+                   [&fired] { fired.push_back(7); });
+  EXPECT_EQ(q.NextTime(), SimTime::Nanos(600));
+  Drain(q);
+  EXPECT_EQ(fired.back(), 7);
+}
+
+TEST(EventCore, CompactedLaneHoldsAtMostTwiceItsLiveEntries) {
+  EventQueue q;
+  const EventQueue::LaneId lane = q.LaneFor(SimTime::Millis(40));
+  std::vector<EventId> ids;
+  for (int i = 0; i < 1000; ++i) {
+    ids.push_back(q.ScheduleOnLane(lane, SimTime::Nanos(i), [] {}));
+  }
+  // Cancel the head, then every other entry from the back, then the rest
+  // of the first half: dead entries pile up where neither the head drop
+  // nor anything else reaches them, so only compaction bounds the ring.
+  std::size_t live = 1000;
+  const auto cancel = [&](std::size_t i) {
+    q.Cancel(ids[i]);
+    --live;
+    ASSERT_EQ(q.size(), live);
+    EXPECT_LE(q.lane_storage_for_test(lane), 2 * live);
+  };
+  cancel(0);
+  for (std::size_t i = 999; i >= 501; i -= 2) cancel(i);
+  for (std::size_t i = 1; i < 500; ++i) cancel(i);
+  // The survivors fire in order, and the lane's lagging heap key never
+  // shows: every NextTime is a live entry's time.
+  std::vector<std::int64_t> expect{500};
+  for (std::size_t i = 502; i < 1000; i += 2) {
+    expect.push_back(static_cast<std::int64_t>(i));
+  }
+  ASSERT_EQ(expect.size(), live);
+  SimTime now = SimTime::Zero();
+  for (const std::int64_t ns : expect) {
+    EXPECT_EQ(q.NextTime(), SimTime::Nanos(ns));
+    q.RunNext(now);
+  }
+  EXPECT_TRUE(q.Empty());
+}
+
+TEST(EventCore, NonMonotoneLanePushThrows) {
+  EventQueue q;
+  const EventQueue::LaneId lane = q.LaneFor(SimTime::Nanos(5));
+  q.ScheduleOnLane(lane, SimTime::Nanos(20), [] {});
+  q.ScheduleOnLane(lane, SimTime::Nanos(20), [] {});  // equal times are fine
+  EXPECT_THROW(q.ScheduleOnLane(lane, SimTime::Nanos(19), [] {}),
+               std::logic_error);
+  EXPECT_EQ(q.size(), 2u);  // the rejected push left nothing behind
+  // The bound is the latest push, even after it fired.
+  Drain(q);
+  EXPECT_THROW(q.ScheduleOnLane(lane, SimTime::Nanos(10), [] {}),
+               std::logic_error);
+  EXPECT_TRUE(q.Empty());
+}
+
+// ---------------------------------------------------------------------------
+// Golden oracle: event-core changes must not move a single simulated event.
+// ---------------------------------------------------------------------------
+
+// A small 8-rack rotor churn run. The slot timeout is cut to 1.5 ms so that
+// some lifecycles time out while most are cancelled when they complete,
+// anywhere in the timeout stream (oldest first, or behind older ones).
+ExperimentConfig GoldenRotorChurn(SimTime fabric_jitter) {
+  ExperimentConfig cfg = PaperConfig(Variant::kTdtcp)
+                             .WithRotorFabric(8)
+                             .WithDurationMs(4)
+                             .WithSampling(false, false)
+                             .WithSampleInterval(SimTime::Millis(1))
+                             .WithRackPolicy(RackPolicy::kUniform)
+                             .WithFlowSizeCdf(BuiltinFlowSizeCdf("websearch"),
+                                              1.0 / 24)
+                             .WithTrace();
+  cfg.workload.num_flows = 0;
+  cfg.topology.fabric_reorder_jitter = fabric_jitter;
+  cfg.churn.enabled = true;
+  cfg.churn.target_connections = 400;
+  cfg.churn.mean_interarrival = SimTime::Micros(100);
+  cfg.churn.max_concurrent = 256;
+  cfg.churn.size_cap_bytes = 2'000'000;
+  cfg.churn.slot_timeout = SimTime::Micros(1500);
+  return cfg;
+}
+
+struct GoldenCase {
+  const char* name;
+  SimTime fabric_jitter;
+  std::uint64_t sim_events;
+  std::uint64_t churn_hash;
+  std::uint64_t trace_hash;
+  std::uint64_t app_timeouts;
+};
+
+TEST(EventCore, GoldenRotorChurnOutcomesArePinned) {
+  // Recorded before the fixed-delay lanes existed. The jittered case keeps
+  // fabric deliveries on the heap; the plain one sends them through lanes.
+  const GoldenCase cases[] = {
+      {"plain", SimTime::Zero(), 70055, 8649967883770631400ull,
+       7725090584681061753ull, 112},
+      {"jittered", SimTime::Micros(2), 66922, 18033784140094836428ull,
+       12846390787198832427ull, 109},
+  };
+  for (const GoldenCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    const ExperimentResult r = RunExperiment(GoldenRotorChurn(c.fabric_jitter));
+    ASSERT_TRUE(r.churn_all_closed);
+    EXPECT_GT(r.churn.app_timeouts, 0u);
+    EXPECT_LT(r.churn.app_timeouts, r.churn.opened);
+    EXPECT_EQ(r.sim_events, c.sim_events);
+    EXPECT_EQ(r.churn_hash, c.churn_hash);
+    EXPECT_EQ(r.trace_hash, c.trace_hash);
+    EXPECT_EQ(r.churn.app_timeouts, c.app_timeouts);
+  }
 }
 
 }  // namespace

@@ -241,6 +241,26 @@ TEST(RackValidation, ChurnRejectsBadConfigs) {
   EXPECT_THROW(ChurnGenerator(sim, topo, bad_frac, 1), std::invalid_argument);
 }
 
+TEST(RackValidation, ChurnRejectsNonPositiveSlotTimeout) {
+  // A negative timeout used to surface as a "scheduled in the past" error at
+  // the first arrival, and a zero one aborted every lifecycle as kUserAbort.
+  Simulator sim;
+  Random rng(1);
+  TopologyConfig tc;
+  tc.num_racks = 2;
+  tc.hosts_per_rack = 4;
+  Topology topo(sim, rng, tc);
+  ChurnConfig negative;
+  negative.slot_timeout = SimTime::Micros(-1);
+  EXPECT_THROW(ChurnGenerator(sim, topo, negative, 1), std::invalid_argument);
+  ChurnConfig zero;
+  zero.slot_timeout = SimTime::Zero();
+  EXPECT_THROW(ChurnGenerator(sim, topo, zero, 1), std::invalid_argument);
+  ChurnConfig tiny;
+  tiny.slot_timeout = SimTime::Picos(1);
+  EXPECT_NO_THROW(ChurnGenerator(sim, topo, tiny, 1));
+}
+
 TEST(RackValidation, RunExperimentRejectsBadWorkloadPair) {
   ExperimentConfig cfg = PaperConfig(Variant::kCubic);
   cfg.workload.src_rack = 5;  // 2-rack default topology
