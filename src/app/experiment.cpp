@@ -65,7 +65,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
         std::to_string(config.topology.num_racks) + ")");
   }
   Simulator sim;
-  sim.set_batched_dispatch(config.batched_dispatch);
   Random rng(config.seed);
 
   Topology topo(sim, rng, config.topology);
@@ -256,12 +255,12 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
 
   if (churn) {
     // Drain: the arrival process runs until it reaches its target — arrivals
-    // deferred behind busy slots spill past `duration` — and every open cycle
-    // then resolves within slot_timeout of its opening (the app-level abort
-    // guarantees it). Step the clock until the generator reports done; the
-    // iteration bound is a backstop against misconfiguration, generous enough
-    // that hitting it means something is genuinely wedged (which the
-    // churn_all_closed result flag then records).
+    // dropped while every slot is busy push it past `duration` — and every
+    // open cycle then resolves within slot_timeout of its opening (the
+    // app-level abort guarantees it). Step the clock until the generator
+    // reports done; the iteration bound is a backstop against
+    // misconfiguration, generous enough that hitting it means something is
+    // genuinely wedged (which the churn_all_closed result flag then records).
     const SimTime step = config.churn.slot_timeout + SimTime::Millis(1);
     for (int i = 0;
          i < 100000 && !(churn->stats().opened >=
@@ -457,8 +456,6 @@ ExperimentResult RunExperiment(const ExperimentConfig& config) {
   {
     const Simulator::Stats ss = sim.GetStats();
     r.sim_events = ss.events_executed;
-    r.sim_batches = ss.batches;
-    r.sim_max_batch = ss.max_batch;
     r.sim_cohort_hits = ss.cohort_hits;
     r.sim_dead_dropped = ss.dead_dropped;
     r.sim_compactions = ss.compactions;

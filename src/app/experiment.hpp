@@ -91,9 +91,7 @@ struct ExperimentConfig {
   std::uint64_t seed = 1;
   bool sample_voq = true;
   bool sample_reorder = true;
-  // Simulator event-dispatch batching (Simulator::set_batched_dispatch).
-  // On by default; the sequential path exists for A/B bit-identity checks
-  // (tests/batch_test) and as an escape hatch, not as a tuning knob.
+  // Inert: exists only so simbench/ compiles; nothing reads it.
   bool batched_dispatch = true;
   // How many optical weeks the folded curves span (the paper's Fig. 2/7
   // windows show ~3 weeks).
@@ -223,10 +221,6 @@ struct ExperimentConfig {
     trace.record_flow = flow;
     return *this;
   }
-  ExperimentConfig& WithBatchedDispatch(bool batched) {
-    batched_dispatch = batched;
-    return *this;
-  }
   // Adversarial schedule: perturb the controller's day/night timing and/or
   // inject mid-flow schedule changes and restart windows.
   ExperimentConfig& WithSchedulePerturbation(PerturbationConfig p) {
@@ -343,12 +337,9 @@ struct ExperimentResult {
   double voq_sojourn_max_us = 0;
 
   // Simulator event-core accounting (Simulator::GetStats): total events
-  // executed, batch counters from the batched dispatch loop, and the event
-  // queue's dead-entry/compaction bookkeeping. sim_batches/sim_max_batch are
-  // zero when the run disabled batched dispatch.
+  // executed, same-time cohort appends, and the event queue's
+  // dead-entry/compaction bookkeeping.
   std::uint64_t sim_events = 0;
-  std::uint64_t sim_batches = 0;
-  std::uint64_t sim_max_batch = 0;
   std::uint64_t sim_cohort_hits = 0;
   std::uint64_t sim_dead_dropped = 0;
   std::uint64_t sim_compactions = 0;

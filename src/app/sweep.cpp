@@ -174,8 +174,6 @@ constexpr SweepMetric kSweepMetrics[] = {
     TDTCP_FIELD_METRIC("recovery_spurious", recovery_spurious),
     // Simulator event core.
     TDTCP_FIELD_METRIC("sim_events", sim_events),
-    TDTCP_FIELD_METRIC("sim_batches", sim_batches),
-    TDTCP_FIELD_METRIC("sim_max_batch", sim_max_batch),
     TDTCP_FIELD_METRIC("sim_cohort_hits", sim_cohort_hits),
     TDTCP_FIELD_METRIC("sim_dead_dropped", sim_dead_dropped),
     TDTCP_FIELD_METRIC("sim_compactions", sim_compactions),

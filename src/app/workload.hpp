@@ -162,8 +162,9 @@ struct ChurnConfig {
   // distribution shape at a wall-time-feasible byte volume.
   double size_scale = 1.0;
   std::uint64_t size_cap_bytes = 0;
-  // Concurrency bound: arrivals finding every slot busy are deferred (the
-  // arrival process keeps running, so the target is still reached once
+  // Concurrency bound: an arrival finding every slot busy is dropped, not
+  // queued. It counts in ChurnStats::deferred and the next arrival is drawn
+  // (the arrival process keeps running, so the target is still reached once
   // slots drain).
   std::uint32_t max_concurrent = 16;
   // Application-level patience: a connection not fully closed this long

@@ -446,45 +446,31 @@ std::uint64_t EventQueue::TakeLaneHead(LaneId lane) {
   return ev;
 }
 
-EventQueue::Taken EventQueue::TakeNextEntry() {
+bool EventQueue::RunNext(SimTime& now_out, SimTime until) {
+  if (live_count_ == 0) return false;
   DropDeadHeads();
-  assert(live_count_ > 0);
+  // A zero-delay entry was scheduled at what was then "now", so it is at or
+  // before every heap entry's time; a heap entry at the same instant whose
+  // head has a smaller sequence number was scheduled earlier and keeps its
+  // FIFO position. Zero-delay lane keys and heap keys use different
+  // layouts, so compare seqs explicitly.
   const LaneEntry* lane = ZeroLaneFront();
-  if (lane != nullptr) {
-    // A heap entry at the same instant whose head has a smaller sequence
-    // number was scheduled earlier and must keep its FIFO position.
-    // Zero-delay lane keys and heap keys use different layouts, so compare
-    // seqs explicitly.
-    const bool lane_first =
-        heap_.empty() || lane->at < heap_.front().at ||
-        (lane->at == heap_.front().at &&
-         SeqOf(lane->key) < HeapFirstSeq(heap_.front()));
-    if (lane_first) {
-      const Taken t{lane->at, lane->key};
-      zero_lane_.pop_front();
-      return t;
-    }
+  const bool from_lane =
+      lane != nullptr &&
+      (heap_.empty() || lane->at < heap_.front().at ||
+       (lane->at == heap_.front().at &&
+        SeqOf(lane->key) < HeapFirstSeq(heap_.front())));
+  assert(from_lane || !heap_.empty());
+  const SimTime at = from_lane ? lane->at : heap_.front().at;
+  if (at > until) return false;
+  std::uint64_t ev;
+  if (from_lane) {
+    ev = lane->key;
+    zero_lane_.pop_front();
+  } else {
+    ev = TakeHeapHead();
   }
-  const SimTime at = heap_.front().at;
-  return Taken{at, TakeHeapHead()};
-}
-
-EventQueue::Event EventQueue::PopNext() {
-  const Taken t = TakeNextEntry();
-  Slot& s = SlotRef(SlotOf(t.ev));
-  Event ev;
-  ev.at = t.at;
-  ev.id = t.ev;
-  ev.fn = std::move(s.fn);  // relocate out; the slot is immediately reusable
-  s.live = 0;
-  free_slots_.push_back(SlotOf(t.ev));
-  --live_count_;
-  return ev;
-}
-
-void EventQueue::RunNext(SimTime& now_out) {
-  const Taken t = TakeNextEntry();
-  const std::uint32_t slot = SlotOf(t.ev);
+  const std::uint32_t slot = SlotOf(ev);
   Slot& s = SlotRef(slot);
   // Retire the entry before running: a reentrant Cancel of this id is a
   // no-op, and the slot stays off the freelist until the callback returns,
@@ -492,48 +478,10 @@ void EventQueue::RunNext(SimTime& now_out) {
   // (slot blocks never relocate, see GrowSlab).
   s.live = 0;
   --live_count_;
-  now_out = t.at;
+  now_out = at;
   s.fn.InvokeAndReset();
   free_slots_.push_back(slot);
-}
-
-std::size_t EventQueue::RunBatch(SimTime& now_out, const bool& stop) {
-  DropDeadHeads();
-  if (live_count_ == 0) return 0;
-  const LaneEntry* lf = ZeroLaneFront();
-  SimTime t = lf != nullptr ? lf->at : heap_.front().at;
-  if (lf != nullptr && !heap_.empty() && heap_.front().at < t) {
-    t = heap_.front().at;
-  }
-  now_out = t;
-  std::size_t n = 0;
-  while (!stop) {
-    DropDeadHeads();
-    const LaneEntry* lane = ZeroLaneFront();
-    const bool heap_ready = !heap_.empty() && heap_.front().at == t;
-    std::uint64_t ev;
-    if (lane != nullptr && lane->at == t &&
-        (!heap_ready || SeqOf(lane->key) < HeapFirstSeq(heap_.front()))) {
-      ev = lane->key;
-      zero_lane_.pop_front();
-    } else if (heap_ready) {
-      ev = TakeHeapHead();
-    } else {
-      break;  // nothing live left at t — the batch boundary
-    }
-    const std::uint32_t slot = SlotOf(ev);
-    Slot& s = SlotRef(slot);
-    s.live = 0;
-    --live_count_;
-    s.fn.InvokeAndReset();
-    free_slots_.push_back(slot);
-    ++n;
-  }
-  if (n != 0) {
-    ++counters_.batches;
-    if (n > counters_.max_batch) counters_.max_batch = n;
-  }
-  return n;
+  return true;
 }
 
 void EventQueue::Ring::push_back(const LaneEntry& e) {

@@ -10,11 +10,12 @@
 //  * Callback slots live in a recycled slab of fixed-size blocks (stable
 //    addresses, one cache line per slot); the 4-ary min-heap orders 16-byte
 //    POD entries {time, key}.
-//  * Same-time events are batched into COHORTS: the heap holds one entry per
+//  * Same-time events are grouped into COHORTS: the heap holds one entry per
 //    distinct timestamp, and all events sharing that timestamp hang off it
-//    as a FIFO chain through a recycled node pool. A direct-mapped
-//    time->tail cache makes the append O(1) — no sift — so draining N
-//    same-time events costs one sift-down total instead of N. The cache is
+//    as a FIFO chain through a recycled node pool. A set-associative
+//    time->tail cache makes the append O(1) — no sift — and popping a
+//    cohort's head advances the entry in place (a re-sift that usually
+//    stops at the first compare) instead of a full pop. The cache is
 //    a pure accelerator: a missed hit merely creates a second heap entry
 //    ("twin cohort") at the same time, and because appends only ever go to
 //    the most recently cached cohort while sequence numbers are globally
@@ -39,14 +40,13 @@
 //    one per pending event. A push earlier than the lane's latest push
 //    throws. Cancel stays O(1) (dead heads are skipped lazily) and a cancel
 //    that leaves more than half of a lane's entries dead compacts it in
-//    place. A
-//    lane's heap key may lag behind its first live entry after a cancel or
-//    a compaction; it is only ever a lower bound, and it is re-keyed when it
-//    reaches the heap front.
+//    place. A lane's heap key may lag behind its first live entry after a
+//    cancel or a compaction; it is only ever a lower bound, and it is
+//    re-keyed when it reaches the heap front.
 //
-// RunBatch() drains every event sharing the earliest timestamp (heap cohort
-// twins, lane heads + same-time zero-delay arrivals, merged in seq order) in
-// one call.
+// RunNext() is the one dispatch path: it settles dead heads once, merges
+// the heap front with the zero-delay lane's head by (time, seq), and invokes
+// the winner in place.
 #pragma once
 
 #include <cassert>
@@ -75,38 +75,12 @@ inline constexpr EventId kInvalidEventId = 0;
 // Simulator's packet freelist.
 inline constexpr std::size_t kInlineEventCapacity = 48;
 
-// A move-only type-erased callable with inline storage — the allocation-free
-// replacement for std::function<void()> in the event core.
+// A type-erased callable with inline storage — the allocation-free
+// replacement for std::function<void()> in the event core. It never moves:
+// a callback is constructed in its slot and invoked and destroyed there.
 class InlineEvent {
  public:
   InlineEvent() = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::decay_t<F>, InlineEvent>>>
-  InlineEvent(F&& f) {  // NOLINT(google-explicit-constructor)
-    Emplace(std::forward<F>(f));
-  }
-
-  InlineEvent(InlineEvent&& o) noexcept {
-    if (o.ops_ != nullptr) {
-      ops_ = o.ops_;
-      ops_->relocate(buf_, o.buf_);
-      o.ops_ = nullptr;
-    }
-  }
-
-  InlineEvent& operator=(InlineEvent&& o) noexcept {
-    if (this != &o) {
-      Reset();
-      if (o.ops_ != nullptr) {
-        ops_ = o.ops_;
-        ops_->relocate(buf_, o.buf_);
-        o.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
 
   InlineEvent(const InlineEvent&) = delete;
   InlineEvent& operator=(const InlineEvent&) = delete;
@@ -121,14 +95,10 @@ class InlineEvent {
                   "lambda capture (stash Packets via Simulator::StashPacket)");
     static_assert(alignof(Fn) <= alignof(void*),
                   "over-aligned event capture");
-    static_assert(std::is_nothrow_move_constructible_v<Fn>,
-                  "event callables must be nothrow-movable");
     Reset();
     ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
     ops_ = &OpsFor<Fn>::kOps;
   }
-
-  void operator()() { ops_->invoke(buf_); }
 
   // Single-indirect-call invoke-then-destroy, for the run loop's in-place
   // dispatch (the capture is destroyed even if the callback throws).
@@ -137,8 +107,6 @@ class InlineEvent {
     ops_ = nullptr;
     ops->invoke_destroy(buf_);
   }
-
-  explicit operator bool() const { return ops_ != nullptr; }
 
   void Reset() {
     if (ops_ != nullptr) {
@@ -149,16 +117,13 @@ class InlineEvent {
 
  private:
   struct Ops {
-    void (*invoke)(void*);
     void (*invoke_destroy)(void*);
-    void (*relocate)(void* dst, void* src);  // move-construct + destroy src
     void (*destroy)(void*);
   };
 
   template <typename Fn>
   struct OpsFor {
     static constexpr Ops kOps = {
-        [](void* p) { (*static_cast<Fn*>(p))(); },
         [](void* p) {
           Fn* f = static_cast<Fn*>(p);
           struct Guard {
@@ -166,11 +131,6 @@ class InlineEvent {
             ~Guard() { f->~Fn(); }
           } guard{f};
           (*f)();
-        },
-        [](void* dst, void* src) {
-          Fn* s = static_cast<Fn*>(src);
-          ::new (dst) Fn(std::move(*s));
-          s->~Fn();
         },
         [](void* p) { static_cast<Fn*>(p)->~Fn(); },
     };
@@ -250,42 +210,17 @@ class EventQueue {
   // Time of the earliest live event; SimTime::Max() when empty.
   SimTime NextTime();
 
-  struct Event {
-    SimTime at;
-    EventId id;
-    InlineEvent fn;
-  };
+  // The one dispatch path. Pops the earliest live event if its time is at
+  // or before `until` and invokes it in place: one indirect call, no
+  // relocation. `now_out` is set to the event's time before the callback
+  // runs. Returns false, running nothing, when no live event is due by
+  // `until` (or none is pending). Safe against reentrant Schedule/Cancel
+  // because slots live in fixed-size blocks that never move, and the
+  // entry's live tag is retired before invocation.
+  bool RunNext(SimTime& now_out, SimTime until = SimTime::Max());
 
-  // Pops the earliest live event WITHOUT running it. The caller must advance
-  // its clock to event.at before invoking event.fn, so that callbacks
-  // observe the correct current time. The callback is relocated out of its
-  // slot (and the slot recycled) before the caller runs it, so callbacks may
-  // freely schedule new events. Precondition: !Empty().
-  Event PopNext();
-
-  // Pops the earliest live event and invokes it in place: one indirect call,
-  // no relocation. `now_out` is set to the event's time before the callback
-  // runs. Safe against reentrant Schedule/Cancel because slots live in
-  // fixed-size blocks that never move, and the entry's live tag is retired
-  // before invocation. Precondition: !Empty().
-  void RunNext(SimTime& now_out);
-
-  // Drains EVERY live event sharing the earliest timestamp — the heap
-  // cohort, its twins, and lane entries at the same instant, merged in
-  // schedule-sequence order — and invokes each in place. Events the
-  // callbacks schedule at the same instant (zero-delay chains through the
-  // lane) join the batch, exactly as repeated RunNext calls would take
-  // them. `now_out` is set to the batch timestamp before the first callback
-  // runs; `stop` is re-checked between events so Simulator::Stop() keeps
-  // its between-events semantics. Returns the number of events dispatched
-  // (0 when empty). The dispatch order is bit-identical to calling
-  // RunNext() in a loop.
-  std::size_t RunBatch(SimTime& now_out, const bool& stop);
-
-  // Monotonic internals counters (batching / cancellation observability).
+  // Monotonic internals counters (cohort / cancellation observability).
   struct Counters {
-    std::uint64_t batches = 0;       // RunBatch invocations that dispatched
-    std::uint64_t max_batch = 0;     // largest single batch
     std::uint64_t cohort_hits = 0;   // O(1) same-time appends (sift skipped)
     std::uint64_t dead_dropped = 0;  // cancelled entries reclaimed lazily
     std::uint64_t compactions = 0;   // heap and lane compaction passes
@@ -508,11 +443,6 @@ class EventQueue {
     std::size_t cap_ = 0;
   };
 
-  struct Taken {
-    SimTime at;
-    EventId ev;
-  };
-  Taken TakeNextEntry();
   void SiftUp(std::size_t i);
   void SiftDown(std::size_t i);
   // Restores heap order after the front's key grew. Top-down with an early

@@ -55,40 +55,19 @@ void Simulator::ThrowScheduledInPast(SimTime at) const {
                          std::to_string(now_.picos()) + "ps)");
 }
 
-void Simulator::Run() {
-  stopped_ = false;
-  if (batched_dispatch_) {
-    // RunBatch advances the clock before the first callback and drains the
-    // whole timestamp; Stop() is honored between events via the reference.
-    while (!stopped_ && !queue_.Empty()) {
-      events_executed_ += queue_.RunBatch(now_, stopped_);
-    }
-    return;
-  }
-  while (!stopped_ && !queue_.Empty()) {
-    // RunNext advances the clock before running the callback so that
-    // everything the callback does (including relative scheduling) sees the
-    // event's time.
-    queue_.RunNext(now_);
-    ++events_executed_;
-  }
-}
+void Simulator::Run() { RunEvents(SimTime::Max()); }
 
 void Simulator::RunUntil(SimTime until) {
-  stopped_ = false;
-  if (batched_dispatch_) {
-    // A batch never crosses a timestamp, so the NextTime guard bounds it to
-    // events at <= until exactly as the event-at-a-time loop does.
-    while (!stopped_ && !queue_.Empty() && queue_.NextTime() <= until) {
-      events_executed_ += queue_.RunBatch(now_, stopped_);
-    }
-  } else {
-    while (!stopped_ && !queue_.Empty() && queue_.NextTime() <= until) {
-      queue_.RunNext(now_);
-      ++events_executed_;
-    }
-  }
+  RunEvents(until);
   if (!stopped_ && now_ < until) now_ = until;
+}
+
+void Simulator::RunEvents(SimTime until) {
+  stopped_ = false;
+  // RunNext advances the clock before running the callback so that
+  // everything the callback does (including relative scheduling) sees the
+  // event's time.
+  while (!stopped_ && queue_.RunNext(now_, until)) ++events_executed_;
 }
 
 }  // namespace tdtcp

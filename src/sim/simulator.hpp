@@ -89,15 +89,8 @@ class Simulator {
   // Stops Run()/RunUntil() after the current event returns.
   void Stop() { stopped_ = true; }
 
-  // Batched dispatch (default on): the run loops drain all events sharing a
-  // timestamp through EventQueue::RunBatch — one heap interaction per
-  // distinct time instead of per event. The dispatch order is bit-identical
-  // to event-at-a-time execution (the batch is the same merged seq-ordered
-  // stream RunNext would produce); the switch exists so the
-  // batched-vs-sequential soak can prove that, not because behaviour
-  // differs.
-  void set_batched_dispatch(bool on) { batched_dispatch_ = on; }
-  bool batched_dispatch() const { return batched_dispatch_; }
+  // Inert: exists only so simbench/ compiles; dispatch is always RunNext.
+  void set_batched_dispatch(bool) {}
 
   std::uint64_t events_executed() const { return events_executed_; }
   std::size_t pending_events() const { return queue_.size(); }
@@ -105,16 +98,17 @@ class Simulator {
   // Event-core internals counters, surfaced as sim_* sweep metrics.
   struct Stats {
     std::uint64_t events_executed = 0;
-    std::uint64_t batches = 0;       // RunBatch calls that dispatched
-    std::uint64_t max_batch = 0;     // largest same-timestamp batch
+    std::uint64_t batches = 0;  // always 0: exists only so simbench/ compiles
     std::uint64_t cohort_hits = 0;   // O(1) same-time appends (no sift)
     std::uint64_t dead_dropped = 0;  // cancelled entries reclaimed lazily
     std::uint64_t compactions = 0;   // heap and lane compaction passes
   };
   Stats GetStats() const {
     const EventQueue::Counters& c = queue_.counters();
-    return Stats{events_executed_, c.batches,      c.max_batch,
-                 c.cohort_hits,    c.dead_dropped, c.compactions};
+    return Stats{.events_executed = events_executed_,
+                 .cohort_hits = c.cohort_hits,
+                 .dead_dropped = c.dead_dropped,
+                 .compactions = c.compactions};
   }
 
   // Per-simulation packet id source (for tracing; never affects protocol
@@ -136,11 +130,12 @@ class Simulator {
   struct PacketPool;
 
   [[noreturn]] void ThrowScheduledInPast(SimTime at) const;
+  // The dispatch loop behind Run() (until = Max) and RunUntil().
+  void RunEvents(SimTime until);
 
   EventQueue queue_;
   SimTime now_ = SimTime::Zero();
   bool stopped_ = false;
-  bool batched_dispatch_ = true;
   std::uint64_t events_executed_ = 0;
   std::uint64_t next_packet_id_ = 1;
   std::unique_ptr<PacketPool> packet_pool_;

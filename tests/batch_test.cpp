@@ -1,18 +1,18 @@
-// Batched-execution equivalence (DESIGN.md §11).
+// Event-order soaks against pinned outcomes (DESIGN.md §11).
 //
-// Two contracts:
-//  - sim core: RunBatch dispatches in exactly the order the sequential
-//    RunNext loop would, including randomized same-timestamp collisions,
-//    mid-batch immediate-lane arrivals, and cancellations — and routing
-//    the fixed-delay events through lanes changes nothing;
-//  - experiment level: a seeded churn + fault + trace run is bit-identical
-//    (trace_hash / churn_hash / totals) with batched dispatch forced on and
-//    forced off.
+// Two contracts, each checked against constants recorded from the
+// event-at-a-time RunNext loop before the event core last changed shape:
+//  - sim core: the firing order under randomized same-timestamp
+//    collisions, same-tick zero-delay arrivals and cancellations, with the
+//    future events on the heap and, separately, on fixed-delay lanes;
+//  - experiment level: a seeded churn + fault + trace run's trace_hash,
+//    churn_hash, fault_trace_hash, event count and byte total.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <utility>
 
 #include "app/experiment.hpp"
 #include "sim/simulator.hpp"
@@ -50,9 +50,8 @@ struct Lcg {
 // With `lanes` every future event goes through the fixed-delay lane of its
 // delay instead of the heap. Returns a digest of (now, marker) in firing
 // order.
-std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched, bool lanes) {
+std::uint64_t RunRandomSoak(std::uint64_t seed, bool lanes) {
   Simulator sim;
-  sim.set_batched_dispatch(batched);
   Lcg rng(seed);
   const auto schedule_in = [&sim, lanes](SimTime delay, auto&& fn) {
     return lanes ? sim.ScheduleOnLane(sim.FixedDelayLane(delay), fn)
@@ -81,7 +80,7 @@ std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched, bool lanes) {
       schedule_in(SimTime::Nanos(1 + (r >> 8) % 7), [&fire, m] { fire(m); });
     }
     if (r % 5 == 0) {
-      // Schedule-then-cancel: the dead entry must be invisible in both modes.
+      // Schedule-then-cancel: the dead entry must never fire.
       EventId victim = schedule_in(SimTime::Nanos(1 + (r >> 16) % 5),
                                    [&hash] { hash.Mix(0xdeadu); });
       sim.Cancel(victim);
@@ -98,25 +97,27 @@ std::uint64_t RunRandomSoak(std::uint64_t seed, bool batched, bool lanes) {
   return hash.h;
 }
 
+// {seed, digest}, recorded from the sequential RunNext loop (heap only).
+constexpr std::array<std::pair<std::uint64_t, std::uint64_t>, 4>
+    kSoakDigests = {{{1, 0x4621863f85dc0ef6ull},
+                     {7, 0xf9286bd49da49d2bull},
+                     {42, 0x6322021e5b8fc481ull},
+                     {1234567, 0xbbcf949b4ebfeb1bull}}};
+
 TEST(BatchSoak, RandomizedFiringOrderMatchesSequential) {
-  for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
-    const std::uint64_t batched = RunRandomSoak(seed, true, false);
-    const std::uint64_t sequential = RunRandomSoak(seed, false, false);
-    EXPECT_EQ(batched, sequential) << "seed " << seed;
-    EXPECT_NE(batched, 0u);
+  for (const auto& [seed, digest] : kSoakDigests) {
+    EXPECT_EQ(RunRandomSoak(seed, /*lanes=*/false), digest) << "seed " << seed;
   }
 }
 
 TEST(BatchSoak, FixedDelayLanesMatchHeapOnlyOrder) {
-  for (std::uint64_t seed : {1ull, 7ull, 42ull, 1234567ull}) {
-    const std::uint64_t heap_only = RunRandomSoak(seed, false, false);
-    EXPECT_EQ(RunRandomSoak(seed, true, true), heap_only) << "seed " << seed;
-    EXPECT_EQ(RunRandomSoak(seed, false, true), heap_only) << "seed " << seed;
+  for (const auto& [seed, digest] : kSoakDigests) {
+    EXPECT_EQ(RunRandomSoak(seed, /*lanes=*/true), digest) << "seed " << seed;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Experiment level: seeded churn + fault run, batching on vs off
+// Experiment level: seeded churn + fault run against its pinned outcome
 // ---------------------------------------------------------------------------
 
 ExperimentConfig SoakConfig() {
@@ -135,34 +136,15 @@ ExperimentConfig SoakConfig() {
 }
 
 TEST(BatchSoak, ChurnFaultExperimentBitIdentical) {
-  const ExperimentResult batched =
-      RunExperiment(SoakConfig().WithBatchedDispatch(true));
-  const ExperimentResult sequential =
-      RunExperiment(SoakConfig().WithBatchedDispatch(false));
-  EXPECT_GT(batched.trace_records, 0u);
-  EXPECT_GT(batched.churn.opened, 0u);
-  EXPECT_EQ(batched.trace_hash, sequential.trace_hash);
-  EXPECT_EQ(batched.churn_hash, sequential.churn_hash);
-  EXPECT_EQ(batched.fault_trace_hash, sequential.fault_trace_hash);
-  EXPECT_EQ(batched.total_bytes, sequential.total_bytes);
-  EXPECT_EQ(batched.retransmissions, sequential.retransmissions);
-  EXPECT_DOUBLE_EQ(batched.goodput_bps, sequential.goodput_bps);
-  // Identical event streams, whichever loop dispatched them.
-  EXPECT_EQ(batched.sim_events, sequential.sim_events);
-}
-
-TEST(BatchSoak, SimStatsSurfaceBatchingCounters) {
-  const ExperimentResult batched =
-      RunExperiment(SoakConfig().WithBatchedDispatch(true));
-  const ExperimentResult sequential =
-      RunExperiment(SoakConfig().WithBatchedDispatch(false));
-  EXPECT_GT(batched.sim_events, 0u);
-  EXPECT_GT(batched.sim_batches, 0u);
-  EXPECT_GE(batched.sim_max_batch, 1u);
-  // Same-tick fan-out exists in any RDCN run: some batch holds > 1 event.
-  EXPECT_GT(batched.sim_max_batch, 1u);
-  EXPECT_EQ(sequential.sim_batches, 0u);
-  EXPECT_EQ(sequential.sim_max_batch, 0u);
+  const ExperimentResult r = RunExperiment(SoakConfig());
+  EXPECT_EQ(r.trace_hash, 0x7dd796f413387587ull);
+  EXPECT_EQ(r.churn_hash, 0x89129775e91920c7ull);
+  EXPECT_EQ(r.fault_trace_hash, 0xafa34172975f742dull);
+  EXPECT_EQ(r.sim_events, 156582u);
+  EXPECT_EQ(r.total_bytes, 17558160u);
+  EXPECT_EQ(r.retransmissions, 1330u);
+  EXPECT_DOUBLE_EQ(r.goodput_bps, 15063900000.0);
+  EXPECT_EQ(r.churn.opened, 30u);
 }
 
 }  // namespace

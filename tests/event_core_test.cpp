@@ -270,29 +270,25 @@ TEST(EventCore, LaneHeapAndZeroDelayEventsAtOneTimeFireInScheduleOrder) {
   // land at the same instant with seqs between them, so advancing the
   // cohort must give way to the lane. The zero-delay events spawned at
   // 10 ns come last.
-  for (const bool batched : {true, false}) {
-    SCOPED_TRACE(batched ? "batched" : "sequential");
-    Simulator sim;
-    sim.set_batched_dispatch(batched);
-    const Simulator::LaneId lane = sim.FixedDelayLane(SimTime::Nanos(10));
-    std::vector<int> order;
-    sim.ScheduleAt(SimTime::Nanos(10), [&] {
-      order.push_back(0);
-      sim.Schedule(SimTime::Zero(), [&order] { order.push_back(5); });
-    });
-    sim.ScheduleOnLane(lane, [&order] { order.push_back(1); });
-    sim.ScheduleAt(SimTime::Nanos(10), [&order] { order.push_back(2); });
-    sim.ScheduleOnLane(lane, [&order] { order.push_back(3); });
-    sim.ScheduleAt(SimTime::Nanos(10), [&] {
-      order.push_back(4);
-      sim.Schedule(SimTime::Zero(), [&order] { order.push_back(6); });
-    });
-    // Later and earlier heap neighbours of the lane's instant.
-    sim.ScheduleAt(SimTime::Nanos(11), [&order] { order.push_back(7); });
-    sim.ScheduleAt(SimTime::Nanos(9), [&order] { order.push_back(-1); });
-    sim.Run();
-    EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
-  }
+  Simulator sim;
+  const Simulator::LaneId lane = sim.FixedDelayLane(SimTime::Nanos(10));
+  std::vector<int> order;
+  sim.ScheduleAt(SimTime::Nanos(10), [&] {
+    order.push_back(0);
+    sim.Schedule(SimTime::Zero(), [&order] { order.push_back(5); });
+  });
+  sim.ScheduleOnLane(lane, [&order] { order.push_back(1); });
+  sim.ScheduleAt(SimTime::Nanos(10), [&order] { order.push_back(2); });
+  sim.ScheduleOnLane(lane, [&order] { order.push_back(3); });
+  sim.ScheduleAt(SimTime::Nanos(10), [&] {
+    order.push_back(4);
+    sim.Schedule(SimTime::Zero(), [&order] { order.push_back(6); });
+  });
+  // Later and earlier heap neighbours of the lane's instant.
+  sim.ScheduleAt(SimTime::Nanos(11), [&order] { order.push_back(7); });
+  sim.ScheduleAt(SimTime::Nanos(9), [&order] { order.push_back(-1); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{-1, 0, 1, 2, 3, 4, 5, 6, 7}));
 }
 
 TEST(EventCore, LanesAreSharedByDelayAndRejectNonPositiveDelays) {

@@ -57,10 +57,8 @@ TEST(EventQueue, OrdersByTime) {
   q.Schedule(SimTime::Micros(3), [&] { order.push_back(3); });
   q.Schedule(SimTime::Micros(1), [&] { order.push_back(1); });
   q.Schedule(SimTime::Micros(2), [&] { order.push_back(2); });
-  while (!q.Empty()) {
-    auto ev = q.PopNext();
-    ev.fn();
-  }
+  SimTime now;
+  while (q.RunNext(now)) EXPECT_EQ(now, SimTime::Micros(order.back()));
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -70,7 +68,8 @@ TEST(EventQueue, SameTimeIsFifo) {
   for (int i = 0; i < 10; ++i) {
     q.Schedule(SimTime::Micros(5), [&order, i] { order.push_back(i); });
   }
-  while (!q.Empty()) q.PopNext().fn();
+  SimTime now;
+  while (!q.Empty()) q.RunNext(now);
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -88,7 +87,8 @@ TEST(EventQueue, CancelSkipsEvent) {
 TEST(EventQueue, CancelFiredIdIsNoOp) {
   EventQueue q;
   EventId id = q.Schedule(SimTime::Micros(1), [] {});
-  q.PopNext().fn();
+  SimTime now;
+  EXPECT_TRUE(q.RunNext(now));
   q.Cancel(id);  // already fired
   q.Cancel(kInvalidEventId);
   q.Cancel(9999);  // never existed

@@ -4,11 +4,8 @@
 #include <cstdio>
 #include <fstream>
 
-#include "cc/registry.hpp"
 #include "sim/simulator.hpp"
-#include "trace/flow_logger.hpp"
 #include "trace/samplers.hpp"
-#include "test_util.hpp"
 
 namespace tdtcp {
 namespace {
@@ -148,75 +145,6 @@ TEST(Csv, WritesCdfFile) {
   std::getline(f, line);
   EXPECT_EQ(line, "1,0.5");
   std::remove(path.c_str());
-}
-
-// ---------------------------------------------------------------------------
-// FlowLogger (the artifact's Wireshark-dissector analogue)
-// ---------------------------------------------------------------------------
-
-TEST(FlowLogger, DecodesHandshakeDataAndOptions) {
-  Simulator sim;
-  test::PairHarness net(sim);
-  TcpConfig c;
-  c.mss = 1000;
-  c.cc_factory = MakeCcFactory("reno");
-  c.tdtcp_enabled = true;
-  c.num_tdns = 2;
-  TcpConnection server(sim, &net.b, 1, 0, c);
-  TcpConnection client(sim, &net.a, 1, 1, c);
-  FlowLogger log(sim);
-  log.Attach(client);
-  server.Listen();
-  client.Connect();
-  client.AddAppData(5000);
-  sim.RunUntil(SimTime::Millis(5));
-
-  const std::string dump = log.Dump();
-  EXPECT_NE(dump.find("SYN <TD_CAPABLE tdns=2>"), std::string::npos);
-  EXPECT_NE(dump.find("SYN/ACK"), std::string::npos);
-  EXPECT_NE(dump.find("DATA seq=1 len=1000 <TD_DATA_ACK D tdn=0>"),
-            std::string::npos);
-  EXPECT_NE(dump.find("<TD_DATA_ACK A tdn="), std::string::npos);
-  EXPECT_NE(dump.find("ACK "), std::string::npos);
-}
-
-TEST(FlowLogger, FormatsNotificationAndSack) {
-  Packet icmp;
-  icmp.type = PacketType::kTdnNotify;
-  icmp.notify_tdn = 1;
-  icmp.circuit_imminent = true;
-  icmp.notify_peer = 3;
-  const std::string line = FormatPacketLine(
-      SimTime::Micros(7), TcpConnection::TapDirection::kRx, icmp);
-  EXPECT_NE(line.find("ICMP tdn-change active_tdn=1"), std::string::npos);
-  EXPECT_NE(line.find("[circuit imminent]"), std::string::npos);
-  EXPECT_NE(line.find("peer_rack=3"), std::string::npos);
-
-  Packet ack;
-  ack.type = PacketType::kAck;
-  ack.ack = 500;
-  ack.num_sack = 1;
-  ack.sack[0] = {1000, 2000};
-  ack.ece = true;
-  ack.circuit_echo = true;
-  const std::string aline = FormatPacketLine(
-      SimTime::Micros(8), TcpConnection::TapDirection::kTx, ack);
-  EXPECT_NE(aline.find("ACK 500 sack[1000,2000)"), std::string::npos);
-  EXPECT_NE(aline.find("ECE"), std::string::npos);
-  EXPECT_NE(aline.find("[circuit-echo]"), std::string::npos);
-}
-
-TEST(FlowLogger, RingBufferBounds) {
-  Simulator sim;
-  FlowLogger log(sim, /*max_lines=*/10);
-  Packet p;
-  p.type = PacketType::kAck;
-  for (int i = 0; i < 50; ++i) {
-    p.ack = static_cast<std::uint64_t>(i);
-    log.Record(TcpConnection::TapDirection::kRx, p);
-  }
-  EXPECT_EQ(log.lines().size(), 10u);
-  EXPECT_NE(log.lines().back().find("ACK 49"), std::string::npos);
 }
 
 }  // namespace
