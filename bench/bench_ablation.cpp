@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
   };
 
   // Rows are a custom axis (engine flags, not the standard grid), so they
-  // go to the pool as fully-resolved cases.
+  // go to the runner as fully-resolved cases.
   std::vector<SweepCase> cases;
   for (const auto& row : rows) {
     SweepCase c;
@@ -52,12 +52,13 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %8s %8s %8s %8s\n", "config", "goodput", "rtx",
               "rto", "undo", "spur");
 
-  const std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
-  const double full_bps = results.front().goodput_bps;
-  for (std::size_t i = 0; i < cases.size(); ++i) {
-    const ExperimentResult& r = results[i];
+  const SweepResult sweep = RunBenchCells(cases, args);
+  WriteOut(args, &sweep);
+  const double full_bps = FirstRun(sweep.cells.front()).goodput_bps;
+  for (const SweepCell& cell : sweep.cells) {
+    const ExperimentResult& r = FirstRun(cell);
     std::printf("%-16s %7.2f Gb %8llu %8llu %8llu %8llu   (%+.1f%% vs full)\n",
-                cases[i].label.c_str(), r.goodput_bps / 1e9,
+                cell.label.c_str(), r.goodput_bps / 1e9,
                 static_cast<unsigned long long>(r.retransmissions),
                 static_cast<unsigned long long>(r.timeouts),
                 static_cast<unsigned long long>(r.undo_events),

@@ -5,7 +5,8 @@
 // anomalies. We measure Jain's fairness index across the per-flow goodputs
 // of a rack of competing long-lived flows, per variant, plus the max/min
 // flow ratio — on the paper's RDCN and on a static single-path network as
-// the control.
+// the control. The bench builds its own simulations: of the shared flags
+// only the duration and --jobs apply, and the others are refused (exit 2).
 #include "bench_util.hpp"
 
 #include "rdcn/controller.hpp"
@@ -75,6 +76,8 @@ FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv, 120);
+  RefuseFlags(args, {"--seeds", "--qdisc", "--recovery", "--schedule-jitter",
+                     "--day-skew", "--out"});
   const int ms = args.duration_ms;
   const int flows = 8;
 

@@ -23,12 +23,10 @@ constexpr int kDelaysUs[] = {0, 10, 50, 200};
 constexpr Variant kVariants[] = {Variant::kTdtcp, Variant::kCubic,
                                  Variant::kRetcp};
 
-ExperimentConfig FaultConfig(Variant v, int ms, std::uint64_t seed,
-                             double notify_loss, int notify_delay_us) {
-  ExperimentConfig cfg = PaperConfig(v)
-                             .WithDurationMs(ms)
-                             .WithSeed(seed)
-                             .WithSampling(false, false);
+ExperimentConfig FaultConfig(Variant v, int ms, double notify_loss,
+                             int notify_delay_us) {
+  ExperimentConfig cfg =
+      PaperConfig(v).WithDurationMs(ms).WithSampling(false, false);
   cfg.fault.control.notify_loss_rate = notify_loss;
   cfg.fault.control.notify_delay_mean = SimTime::Micros(notify_delay_us);
   return cfg;
@@ -46,64 +44,31 @@ std::string PointLabel(Variant v, double loss, int delay_us) {
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv, 60);
   const int ms = args.duration_ms;
-  const std::vector<std::uint64_t> seeds = args.SeedList();
 
   std::printf("Fault sweep: goodput vs notification loss / delay\n");
 
   // One axis at a time (loss with zero delay, delay with zero loss), the
   // grid a paper would plot as two line charts.
-  std::vector<SweepCase> cases;
+  std::vector<SweepCase> points;
   for (Variant v : kVariants) {
     for (double loss : kLossRates) {
-      for (std::uint64_t seed : seeds) {
-        cases.push_back(SweepCase{PointLabel(v, loss, 0),
-                                  FaultConfig(v, ms, seed, loss, 0)});
-      }
+      points.push_back({PointLabel(v, loss, 0), FaultConfig(v, ms, loss, 0)});
     }
     for (int delay : kDelaysUs) {
       if (delay == 0) continue;  // shared fault-free point from the loss axis
-      for (std::uint64_t seed : seeds) {
-        cases.push_back(SweepCase{PointLabel(v, 0.0, delay),
-                                  FaultConfig(v, ms, seed, 0.0, delay)});
-      }
+      points.push_back(
+          {PointLabel(v, 0.0, delay), FaultConfig(v, ms, 0.0, delay)});
     }
   }
+  const SweepResult sweep = RunBenchCells(points, args);
+  WriteOut(args, &sweep);
 
-  std::fprintf(stderr, "  sweep: %zu points x %d seed%s, jobs=%d...\n",
-               cases.size() / seeds.size(), args.seeds,
-               args.seeds == 1 ? "" : "s", ResolveJobs(args.jobs));
-  std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
-
-  // Assemble a SweepResult (one cell per point, seeds aggregated) so --out
-  // gets the standard schema-versioned JSON/CSV.
-  SweepResult sweep;
-  sweep.jobs = ResolveJobs(args.jobs);
-  for (std::size_t i = 0; i < cases.size(); i += seeds.size()) {
-    SweepCell cell;
-    cell.label = cases[i].label;
-    cell.variant = cases[i].config.workload.variant;
-    cell.duration = cases[i].config.duration;
-    for (std::size_t k = 0; k < seeds.size(); ++k) {
-      cell.runs.push_back(
-          SweepRun{cases[i + k].config.seed, std::move(results[i + k])});
-    }
-    cell.metrics = AggregateRuns(cell.runs);
-    sweep.cells.push_back(std::move(cell));
-  }
-  MaybeWriteSweep(args, sweep);
-
-  const auto cell_at = [&](Variant v, double loss,
-                           int delay) -> const SweepCell* {
+  // Cross-seed mean of `metric` at one point.
+  const auto mean_at = [&](Variant v, double loss, int delay,
+                           const char* metric) {
     const std::string label = PointLabel(v, loss, delay);
     for (const SweepCell& c : sweep.cells) {
-      if (c.label == label) return &c;
-    }
-    return nullptr;
-  };
-  const auto mean_of = [](const SweepCell* c, const char* name) {
-    if (!c) return 0.0;
-    for (const auto& [n, s] : c->metrics) {
-      if (n == name) return s.mean;
+      if (c.label == label) return Stat(c, metric).mean;
     }
     return 0.0;
   };
@@ -115,7 +80,7 @@ int main(int argc, char** argv) {
   for (Variant v : kVariants) {
     std::printf("%-10s", VariantName(v));
     for (double loss : kLossRates) {
-      std::printf(" %10.2f", mean_of(cell_at(v, loss, 0), "goodput_bps") / 1e9);
+      std::printf(" %10.2f", mean_at(v, loss, 0, "goodput_bps") / 1e9);
     }
     std::printf("\n");
   }
@@ -127,8 +92,7 @@ int main(int argc, char** argv) {
   for (Variant v : kVariants) {
     std::printf("%-10s", VariantName(v));
     for (int d : kDelaysUs) {
-      std::printf(" %10.2f",
-                  mean_of(cell_at(v, d == 0 ? 0.0 : 0.0, d), "goodput_bps") / 1e9);
+      std::printf(" %10.2f", mean_at(v, 0.0, d, "goodput_bps") / 1e9);
     }
     std::printf("\n");
   }
@@ -137,20 +101,19 @@ int main(int argc, char** argv) {
   std::printf("%-18s %10s %10s %10s %10s\n", "point", "goodput", "dropped",
               "inferred", "stale");
   for (double loss : kLossRates) {
-    const SweepCell* c = cell_at(Variant::kTdtcp, loss, 0);
+    const auto mean = [&](const char* metric) {
+      return mean_at(Variant::kTdtcp, loss, 0, metric);
+    };
     std::printf("loss=%-12g %7.2f Gb %10.0f %10.0f %10.0f\n", loss,
-                mean_of(c, "goodput_bps") / 1e9,
-                mean_of(c, "notifications_dropped"),
-                mean_of(c, "tdn_inferred_switches"),
-                mean_of(c, "stale_notifications"));
+                mean("goodput_bps") / 1e9, mean("notifications_dropped"),
+                mean("tdn_inferred_switches"), mean("stale_notifications"));
   }
 
   // Headline graceful-degradation figure: TDTCP's retained goodput at the
   // worst loss point relative to fault-free.
-  const double base =
-      mean_of(cell_at(Variant::kTdtcp, 0.0, 0), "goodput_bps");
+  const double base = mean_at(Variant::kTdtcp, 0.0, 0, "goodput_bps");
   const double worst =
-      mean_of(cell_at(Variant::kTdtcp, kLossRates[4], 0), "goodput_bps");
+      mean_at(Variant::kTdtcp, kLossRates[4], 0, "goodput_bps");
   if (base > 0) {
     std::printf("\n  tdtcp retains %.1f%% of fault-free goodput at %.0f%% "
                 "notification loss\n",

@@ -35,11 +35,8 @@ int main(int argc, char** argv) {
   // Mean VOQ occupancy: the paper's claim is TDTCP lowest.
   std::printf("\nmean VOQ occupancy:\n");
   for (const auto& r : runs) {
-    double sum = 0;
-    for (const auto& p : r.result.voq_curve) sum += p.mean;
     std::printf("  %-10s %6.2f packets\n", VariantName(r.variant),
-                r.result.voq_curve.empty() ? 0.0
-                                           : sum / r.result.voq_curve.size());
+                CurveMean(FirstRun(r).voq_curve));
   }
 
   PrintGoodputSummary(runs, AnalyticOptimalBps(base),

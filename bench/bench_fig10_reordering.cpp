@@ -14,15 +14,13 @@ using namespace tdtcp::bench;
 
 namespace {
 
-void PrintCdf(const char* title, const std::vector<VariantRun>& runs,
-              const std::vector<double> VariantRun::*unused,
+void PrintCdf(const char* title, const std::vector<SweepCell>& runs,
               std::vector<double> (*extract)(const ExperimentResult&)) {
-  (void)unused;
   std::printf("\n--- %s ---\n", title);
   std::printf("%-10s %8s %8s %8s %8s %10s\n", "variant", "p50", "p90", "p99",
               "max", "zero-days");
   for (const auto& r : runs) {
-    auto values = extract(r.result);
+    auto values = extract(FirstRun(r));
     int zero_days = 0;
     for (double v : values) zero_days += (v == 0.0);
     std::printf("%-10s %8.1f %8.1f %8.1f %8.1f %9.1f%%\n",
@@ -53,17 +51,17 @@ int main(int argc, char** argv) {
   auto runs = RunVariants({Variant::kCubic, Variant::kMptcp, Variant::kTdtcp},
                           base, args);
 
-  PrintCdf("(a) reordering events per optical day", runs, nullptr,
+  PrintCdf("(a) reordering events per optical day", runs,
            [](const ExperimentResult& r) { return r.reorder_events_per_day; });
-  PrintCdf("(b) spurious retransmissions per optical day", runs, nullptr,
+  PrintCdf("(b) spurious retransmissions per optical day", runs,
            [](const ExperimentResult& r) { return r.spurious_rtx_per_day; });
 
   for (const auto& r : runs) {
     const std::string name = VariantName(r.variant);
     WriteCdfCsv("fig10a_events_" + name + ".csv", "events_per_day",
-                MakeCdf(r.result.reorder_events_per_day));
+                MakeCdf(FirstRun(r).reorder_events_per_day));
     WriteCdfCsv("fig10b_spurious_" + name + ".csv", "spurious_rtx_per_day",
-                MakeCdf(r.result.spurious_rtx_per_day));
+                MakeCdf(FirstRun(r).spurious_rtx_per_day));
   }
   std::printf("\nwrote fig10{a,b}_*.csv\n");
   return 0;

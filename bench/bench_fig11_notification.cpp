@@ -76,9 +76,10 @@ int main(int argc, char** argv) {
       {"optimized", NotifyConfig(ms, true)},
       {"unoptimized", NotifyConfig(ms, false)},
   };
-  std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
-  const ExperimentResult& optimized = results[0];
-  const ExperimentResult& unoptimized = results[1];
+  const SweepResult sweep = RunBenchCells(cases, args);
+  WriteOut(args, &sweep);
+  const ExperimentResult& optimized = FirstRun(sweep.cells[0]);
+  const ExperimentResult& unoptimized = FirstRun(sweep.cells[1]);
 
   std::vector<NamedSeries> series = {
       {"optimal", optimized.optimal_curve},

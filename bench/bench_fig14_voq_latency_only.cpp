@@ -33,12 +33,9 @@ void RunAtRate(std::uint64_t rate_bps, const BenchArgs& args, const char* csv) {
 
   std::printf("\nmean VOQ occupancy:\n");
   for (const auto& r : runs) {
-    double sum = 0;
-    for (const auto& p : r.result.voq_curve) sum += p.mean;
     std::printf("  %-10s %6.2f packets (goodput %.2f Gbps)\n",
-                VariantName(r.variant),
-                r.result.voq_curve.empty() ? 0.0 : sum / r.result.voq_curve.size(),
-                r.result.goodput_bps / 1e9);
+                VariantName(r.variant), CurveMean(FirstRun(r).voq_curve),
+                FirstRun(r).goodput_bps / 1e9);
   }
   WriteSeriesCsv(csv, voq);
 }

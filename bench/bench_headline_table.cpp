@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
 
   double tdtcp_bps = 0;
   for (const auto& r : runs) {
-    if (r.variant == Variant::kTdtcp) tdtcp_bps = r.stat("goodput_bps")->mean;
+    if (r.variant == Variant::kTdtcp) tdtcp_bps = Stat(r, "goodput_bps").mean;
   }
 
   const double optimal = AnalyticOptimalBps(base);
@@ -41,13 +41,13 @@ int main(int argc, char** argv) {
   std::printf("\n%-10s %10s %9s %8s %10s %9s %8s %8s\n", "variant", "goodput",
               "ci95", "of-opt", "tdtcp-adv", "rtx", "rto", "spur");
   for (const auto& r : runs) {
-    const MetricStats& g = *r.stat("goodput_bps");
+    const MetricStats& g = Stat(r, "goodput_bps");
     std::printf("%-10s %7.2f Gb %8.2f %7.1f%% %+9.1f%% %8.0f %8.0f %8.0f\n",
                 VariantName(r.variant), g.mean / 1e9, g.ci95 / 1e9,
                 100.0 * g.mean / optimal,
                 100.0 * (tdtcp_bps / g.mean - 1.0),
-                r.stat("retransmissions")->mean, r.stat("timeouts")->mean,
-                r.stat("duplicate_segments")->mean);
+                Stat(r, "retransmissions").mean, Stat(r, "timeouts").mean,
+                Stat(r, "duplicate_segments").mean);
   }
   std::printf("%-10s %7.2f Gb %8s %7.1f%% %+9.1f%%\n", "pkt-only",
               pkt_only / 1e9, "", 100.0 * pkt_only / optimal,

@@ -13,10 +13,12 @@
 //
 // Reported per discipline: flow completion percentiles plus the VOQ's
 // drop/mark breakdown and sojourn tail — the profiles must differ, that is
-// the point of the axis. With --out the same table is written as
-// tdtcp-bench/1 JSON (one run per discipline, counters name-keyed), which
-// is what the tracked BENCH_incast.json baseline holds; diff against it
-// with tools/bench_compare.py --metric=NAME.
+// the point of the axis. --qdisc narrows the axis to one discipline; the
+// bench builds its own simulations on one seed, so --seeds, --recovery,
+// --schedule-jitter and --day-skew are refused (exit 2). With --out the
+// same table is written as tdtcp-bench/1 JSON (one run per discipline,
+// counters name-keyed), which is what the tracked BENCH_incast.json
+// baseline holds; diff against it with tools/bench_compare.py --metric=NAME.
 #include "bench_util.hpp"
 
 #include "rdcn/controller.hpp"
@@ -169,6 +171,8 @@ BenchRun ToRun(const QdiscSetup& setup, const IncastStats& s, int waves) {
 
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv, 20);
+  RefuseFlags(args, {"--seeds", "--recovery", "--schedule-jitter",
+                     "--day-skew"});
   const int waves = args.duration_ms;  // legacy: positional arg is the count
 
   std::vector<QdiscSetup> setups = Setups();
@@ -219,14 +223,6 @@ int main(int argc, char** argv) {
               "and the\nshared pool moves the admission decision to the "
               "ToR's free buffer.\n");
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-  }
+  WriteOut(args, nullptr, &report);
   return 0;
 }

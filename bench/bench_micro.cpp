@@ -7,7 +7,10 @@
 // tdtcp-bench/1 JSON document (see app/result_io.hpp) for baseline tracking
 // with tools/bench_compare.py, and `--min-items-per-sec=N` turns the run
 // into a smoke test: exit nonzero if any item-rate benchmark falls below N.
+// --benchmark_color=false keeps ANSI escapes out of the console table.
 #include <benchmark/benchmark.h>
+#include <strings.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -283,11 +286,33 @@ void BM_ScaleIncast(benchmark::State& state) {
 }
 BENCHMARK(BM_ScaleIncast)->Unit(benchmark::kMillisecond);
 
+// google-benchmark resolves --benchmark_color only for its own display
+// reporter; a custom reporter gets just what its constructor is given. So
+// the flag is mirrored here: "auto" (the default) means colour on a
+// terminal, and the values google-benchmark reads as false switch it off.
+benchmark::ConsoleReporter::OutputOptions ConsoleOptions(int argc,
+                                                         char** argv) {
+  std::string color = "auto";
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--benchmark_color=", 18) == 0) {
+      color = argv[i] + 18;
+    }
+  }
+  bool on = color == "auto" ? isatty(STDOUT_FILENO) != 0 : true;
+  for (const char* off : {"false", "no", "off", "0", "f", "n"}) {
+    if (strcasecmp(color.c_str(), off) == 0) on = false;
+  }
+  return on ? benchmark::ConsoleReporter::OO_ColorTabular
+            : benchmark::ConsoleReporter::OO_Tabular;
+}
+
 // Console output as usual, plus a machine-readable copy of every finished
 // run. Counter values arrive already finalized (rates resolved against cpu
 // time by the benchmark runner), so they are copied through untouched.
 class CollectingReporter : public benchmark::ConsoleReporter {
  public:
+  explicit CollectingReporter(OutputOptions opts) : ConsoleReporter(opts) {}
+
   std::vector<BenchRun> collected;
 
   void ReportRuns(const std::vector<Run>& runs) override {
@@ -353,9 +378,9 @@ int main(int argc, char** argv) {
   }
   argc = kept;
 
+  tdtcp::CollectingReporter reporter(tdtcp::ConsoleOptions(argc, argv));
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  tdtcp::CollectingReporter reporter;
   const std::size_t ran = benchmark::RunSpecifiedBenchmarks(&reporter);
   if (ran == 0) {
     std::fprintf(stderr, "bench_micro: no benchmarks matched the filter\n");
@@ -367,16 +392,16 @@ int main(int argc, char** argv) {
   report.runs = std::move(reporter.collected);
 
   if (!out_path.empty()) {
-    tdtcp::WriteBenchJson(out_path, report);
     // Validate the emitted document by round-tripping it through the reader;
-    // a write/parse mismatch here is a bug worth failing the run over.
+    // a failed write or a write/parse mismatch fails the run.
     try {
+      tdtcp::WriteBenchJson(out_path, report);
       const tdtcp::BenchReport back = tdtcp::ReadBenchJson(out_path);
       if (back.runs.size() != report.runs.size()) {
         throw std::runtime_error("run count changed across round-trip");
       }
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "bench_micro: invalid --out JSON: %s\n", e.what());
+      std::fprintf(stderr, "bench_micro: --out failed: %s\n", e.what());
       return 1;
     }
     std::printf("wrote %s (%zu runs, schema %s)\n", out_path.c_str(),

@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   std::printf("Operating regime sweeps (§3.5), %d ms per point, packet RTT "
               "~100us\n", ms);
 
-  // Both sweeps' points go to one pool as fully-resolved cases (each point
+  // Both sweeps' points go to the runner as fully-resolved cases (each point
   // has its own schedule AND duration, so the standard grid cross-product
   // does not apply): tdtcp/cubic pairs, day sweep first.
   const std::vector<int> day_sweep = {60, 180, 540, 1800, 6000};
@@ -67,17 +67,19 @@ int main(int argc, char** argv) {
                                  SimTime::Micros(20), num_days, run_ms)});
   }
 
-  std::fprintf(stderr, "  %zu points, jobs=%d...\n", cases.size(),
-               ResolveJobs(args.jobs));
-  const std::vector<ExperimentResult> results = RunCases(cases, args.jobs);
+  const SweepResult sweep = RunBenchCells(cases, args);
+  WriteOut(args, &sweep);
 
   std::printf("\n--- (1) day length sweep, 6:1 ratio (nights = day/9) ---\n");
   std::printf("%10s %10s | %9s %9s %9s\n", "day_us", "day/RTT", "tdtcp",
               "cubic", "advantage");
   std::size_t idx = 0;
+  const auto next_goodput = [&] {
+    return FirstRun(sweep.cells[idx++]).goodput_bps;
+  };
   for (int day_us : day_sweep) {
-    const double td = results[idx++].goodput_bps;
-    const double cu = results[idx++].goodput_bps;
+    const double td = next_goodput();
+    const double cu = next_goodput();
     std::printf("%10d %10.1f | %6.2f Gb %6.2f Gb %+8.1f%%\n", day_us,
                 day_us / 100.0, td / 1e9, cu / 1e9, 100.0 * (td / cu - 1.0));
   }
@@ -85,8 +87,8 @@ int main(int argc, char** argv) {
   std::printf("\n--- (2) packet:optical ratio sweep, 180us days ---\n");
   std::printf("%10s | %9s %9s %9s\n", "ratio", "tdtcp", "cubic", "advantage");
   for (std::uint32_t num_days : ratio_sweep) {
-    const double td = results[idx++].goodput_bps;
-    const double cu = results[idx++].goodput_bps;
+    const double td = next_goodput();
+    const double cu = next_goodput();
     std::printf("%8u:1 | %6.2f Gb %6.2f Gb %+8.1f%%\n", num_days - 1,
                 td / 1e9, cu / 1e9, 100.0 * (td / cu - 1.0));
   }

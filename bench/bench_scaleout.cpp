@@ -15,20 +15,22 @@
 // Reported per cell: lifecycle accounting (every opened connection must
 // reach a definite CloseReason — the bench exits nonzero otherwise) and
 // per-size-bucket nearest-rank FCT percentiles, plus the 53-bit churn/trace
-// determinism fingerprints. --check-bit-identity reruns the cells at jobs=1
-// and compares both hashes against the parallel run: the jobs=1 == jobs=N
-// contract, enforced with a nonzero exit.
+// determinism fingerprints. --check-bit-identity has the runner rerun every
+// case at jobs=1 and compare every sweep metric against the parallel run:
+// the jobs=1 == jobs=N contract, enforced with a nonzero exit.
 //
 // Flags beyond the shared bench set:
 //   --lifecycles=N        connection lifecycles per cell (default 1000000)
 //   --racks=N             fabric size, even >= 2 (default 8)
 //   --policy=NAME         keep only cells with this rack policy
-//   --check-bit-identity  rerun serially and compare churn/trace hashes
+//   --check-bit-identity  rerun serially and compare every sweep metric
 //
 // With --out the table is written as tdtcp-bench/1 JSON (the tracked
 // BENCH_scaleout.json baseline, gated with tools/bench_compare.py) and the
 // full per-cell results as tdtcp-sweep/1 JSON/CSV (<out>_sweep.json/.csv),
-// which carry the churn_fct_<bucket>_* metric family.
+// which carry the churn_fct_<bucket>_* metric family. With --seeds=K the
+// table and the tdtcp-bench/1 report show seed 1 and the sweep files carry
+// every seed; the lifecycle contract is checked on every run.
 #include "bench_util.hpp"
 
 #include "app/flow_cdf.hpp"
@@ -45,37 +47,25 @@ struct ScaleoutArgs {
   bool check_bit_identity = false;
 };
 
-// Strips the scaleout-specific flags out of argv (in place) so the shared
-// ParseBenchArgs only sees the flags it knows.
-ScaleoutArgs ParseScaleoutArgs(int& argc, char** argv) {
-  ScaleoutArgs out;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strncmp(a, "--lifecycles=", 13) == 0) {
-      out.lifecycles = static_cast<std::uint32_t>(
-          std::max(1L, std::atol(a + 13)));
-    } else if (std::strncmp(a, "--racks=", 8) == 0) {
-      out.racks = static_cast<std::uint32_t>(std::max(2, std::atoi(a + 8)));
-    } else if (std::strncmp(a, "--policy=", 9) == 0) {
-      out.policy = a + 9;
-      try {
-        (void)RackPolicyFromName(out.policy);
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr,
-                     "%s: unknown --policy '%s' (expected uniform | "
-                     "permutation | hotspot)\n",
-                     argv[0], out.policy.c_str());
-        std::exit(2);
-      }
-    } else if (std::strcmp(a, "--check-bit-identity") == 0) {
-      out.check_bit_identity = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
+// Takes one scaleout-specific flag (the ParseBenchArgs `extra` hook).
+bool ParseScaleoutFlag(const char* a, ScaleoutArgs& out) {
+  const auto count = [](const char* flag, const char* v) {
+    return ParseNumber<std::uint32_t>("bench_scaleout", flag, v);
+  };
+  if (std::strncmp(a, "--lifecycles=", 13) == 0) {
+    out.lifecycles = std::max(1u, count("--lifecycles", a + 13));
+  } else if (std::strncmp(a, "--racks=", 8) == 0) {
+    out.racks = std::max(2u, count("--racks", a + 8));
+  } else if (std::strncmp(a, "--policy=", 9) == 0) {
+    out.policy = a + 9;
+    RequireKnownName("bench_scaleout", "--policy", a + 9, RackPolicyFromName,
+                     "uniform | permutation | hotspot");
+  } else if (std::strcmp(a, "--check-bit-identity") == 0) {
+    out.check_bit_identity = true;
+  } else {
+    return false;
   }
-  argc = kept;
-  return out;
+  return true;
 }
 
 struct Cell {
@@ -122,9 +112,10 @@ ExperimentConfig CellConfig(const Cell& cell, const ScaleoutArgs& sargs,
   return cfg;
 }
 
-BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
+BenchRun ToRun(const SweepCell& cell) {
+  const ExperimentResult& r = FirstRun(cell);
   BenchRun run;
-  run.name = cell.name;
+  run.name = cell.label;
   run.iterations = 1;
   auto& c = run.counters;
   c["opened"] = static_cast<double>(r.churn.opened);
@@ -151,14 +142,16 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  ScaleoutArgs sargs = ParseScaleoutArgs(argc, argv);
-  const BenchArgs args = ParseBenchArgs(argc, argv, 10);
+  ScaleoutArgs sargs;
+  const BenchArgs args = ParseBenchArgs(argc, argv, 10, [&](const char* a) {
+    return ParseScaleoutFlag(a, sargs);
+  });
 
-  std::vector<Cell> cells = Cells();
-  if (!sargs.policy.empty()) {
-    std::erase_if(cells, [&](const Cell& c) {
-      return RackPolicyName(c.policy) != sargs.policy;
-    });
+  std::vector<SweepCase> cells;
+  for (const Cell& cell : Cells()) {
+    if (sargs.policy.empty() || RackPolicyName(cell.policy) == sargs.policy) {
+      cells.push_back({cell.name, CellConfig(cell, sargs, args)});
+    }
   }
 
   std::printf("Scale-out workload engine: %u-rack rotor fabric, %u connection "
@@ -166,12 +159,14 @@ int main(int argc, char** argv) {
               "sizes, per-size-bucket FCT tails:\n\n",
               sargs.racks, sargs.lifecycles);
 
-  // One private Simulator per cell on the pool; results are bit-identical
-  // at any job count.
-  std::vector<ExperimentResult> results(cells.size());
-  ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    results[i] = RunExperiment(CellConfig(cells[i], sargs, args));
-  });
+  SweepResult sweep;
+  try {
+    sweep = RunBenchCells(cells, args, sargs.check_bit_identity);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "FAIL %s\n", e.what());
+    return 1;
+  }
+  if (sargs.check_bit_identity) std::fprintf(stderr, "  bit-identity: OK\n");
 
   bool ok = true;
   std::printf("%-20s %9s %8s %8s | %-9s %-9s %-9s %-9s\n", "cell", "closed",
@@ -179,11 +174,10 @@ int main(int argc, char** argv) {
               "xl p99_us");
   BenchReport report;
   report.context = "bench_scaleout";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const ExperimentResult& r = results[i];
-    const BenchRun run = ToRun(cells[i], r);
+  for (const SweepCell& cell : sweep.cells) {
+    const BenchRun run = ToRun(cell);
     std::printf("%-20s %9.0f %8.0f %8.0f | %-9.0f %-9.0f %-9.0f %-9.0f\n",
-                cells[i].name.c_str(), run.counters.at("closed"),
+                cell.label.c_str(), run.counters.at("closed"),
                 run.counters.at("abnormal"), run.counters.at("deferred"),
                 run.counters.at("fct_s_p99_us"),
                 run.counters.at("fct_m_p99_us"),
@@ -192,72 +186,23 @@ int main(int argc, char** argv) {
     report.runs.push_back(run);
     // The lifecycle contract: every opened connection reaches kClosed with a
     // definite CloseReason, and the generator hit its target.
-    if (!r.churn_all_closed || r.churn.opened != sargs.lifecycles ||
-        r.churn.closed != r.churn.opened) {
-      std::fprintf(stderr,
-                   "FAIL %s: lifecycle leak (opened=%llu closed=%llu "
-                   "all_closed=%d, target=%u)\n",
-                   cells[i].name.c_str(),
-                   static_cast<unsigned long long>(r.churn.opened),
-                   static_cast<unsigned long long>(r.churn.closed),
-                   r.churn_all_closed ? 1 : 0, sargs.lifecycles);
-      ok = false;
-    }
-  }
-
-  if (sargs.check_bit_identity) {
-    std::fprintf(stderr, "  bit-identity check: rerunning %zu cells at "
-                 "jobs=1...\n", cells.size());
-    std::vector<ExperimentResult> serial(cells.size());
-    ParallelFor(1, cells.size(), [&](std::size_t i) {
-      serial[i] = RunExperiment(CellConfig(cells[i], sargs, args));
-    });
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      if (serial[i].churn_hash != results[i].churn_hash ||
-          serial[i].trace_hash != results[i].trace_hash) {
+    for (const SweepRun& sr : cell.runs) {
+      const ExperimentResult& r = sr.result;
+      if (!r.churn_all_closed || r.churn.opened != sargs.lifecycles ||
+          r.churn.closed != r.churn.opened) {
         std::fprintf(stderr,
-                     "FAIL %s: jobs=1 != jobs=N (churn %016llx/%016llx, "
-                     "trace %016llx/%016llx)\n",
-                     cells[i].name.c_str(),
-                     static_cast<unsigned long long>(serial[i].churn_hash),
-                     static_cast<unsigned long long>(results[i].churn_hash),
-                     static_cast<unsigned long long>(serial[i].trace_hash),
-                     static_cast<unsigned long long>(results[i].trace_hash));
+                     "FAIL %s seed %llu: lifecycle leak (opened=%llu "
+                     "closed=%llu all_closed=%d, target=%u)\n",
+                     cell.label.c_str(),
+                     static_cast<unsigned long long>(sr.seed),
+                     static_cast<unsigned long long>(r.churn.opened),
+                     static_cast<unsigned long long>(r.churn.closed),
+                     r.churn_all_closed ? 1 : 0, sargs.lifecycles);
         ok = false;
       }
     }
-    if (ok) std::fprintf(stderr, "  bit-identity: OK\n");
   }
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-    // Also emit the per-cell results through the sweep schema: the
-    // churn_fct_<bucket>_* metric family rides the tdtcp-sweep/1 JSON/CSV.
-    SweepResult sweep;
-    sweep.jobs = ResolveJobs(args.jobs);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      SweepCell cell;
-      cell.label = cells[i].name;
-      cell.variant = results[i].variant;
-      cell.duration = results[i].duration;
-      cell.runs.push_back(SweepRun{/*seed=*/1, results[i]});
-      cell.metrics = AggregateRuns(cell.runs);
-      sweep.cells.push_back(std::move(cell));
-    }
-    try {
-      WriteSweepJson(args.out + "_sweep.json", sweep);
-      WriteSweepCsv(args.out + "_sweep.csv", sweep);
-      std::fprintf(stderr, "  wrote %s_sweep.json, %s_sweep.csv (schema %s)\n",
-                   args.out.c_str(), args.out.c_str(), kSweepSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  sweep out failed: %s\n", e.what());
-    }
-  }
+  WriteOut(args, &sweep, &report);
   return ok ? 0 : 1;
 }

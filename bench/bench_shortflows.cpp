@@ -16,10 +16,12 @@
 //
 // crossed with {droptail, codel} VOQs so the agent is exercised under both
 // loss profiles. Every cell is one deterministic RunExperiment (private
-// Simulator); results are bit-identical at any --jobs. With --out the table
-// is written as tdtcp-bench/1 JSON — the tracked BENCH_shortflows.json
-// baseline — and gated with tools/bench_compare.py
-// --metric=fct_p50_us,fct_p99_us,fct_p999_us.
+// Simulator); results are bit-identical at any --jobs. --qdisc and
+// --recovery narrow the cell axis to the named discipline / mode. With --out
+// the table (seed 1) is written as tdtcp-bench/1 JSON — the tracked
+// BENCH_shortflows.json baseline, gated with tools/bench_compare.py
+// --metric=fct_p50_us,fct_p99_us,fct_p999_us — and every seed's results as
+// tdtcp-sweep/1 JSON/CSV (<out>_sweep.json/.csv).
 #include "bench_util.hpp"
 
 using namespace tdtcp;
@@ -27,30 +29,11 @@ using namespace tdtcp::bench;
 
 namespace {
 
-struct Cell {
-  std::string name;
-  RecoveryMode recovery;
-  QdiscKind qdisc;
-};
-
-std::vector<Cell> Cells() {
-  std::vector<Cell> cells;
-  for (const QdiscKind q : {QdiscKind::kDropTail, QdiscKind::kCodel}) {
-    for (const RecoveryMode m :
-         {RecoveryMode::kOff, RecoveryMode::kRack, RecoveryMode::kAgent}) {
-      cells.push_back(Cell{std::string(RecoveryModeName(m)) + "/" +
-                               QdiscKindName(q),
-                           m, q});
-    }
-  }
-  return cells;
-}
-
-ExperimentConfig CellConfig(const Cell& cell, const BenchArgs& args) {
+ExperimentConfig CellConfig(RecoveryMode recovery, QdiscKind qdisc, int ms) {
   ExperimentConfig cfg = PaperConfig(Variant::kTdtcp)
-                             .WithDurationMs(args.duration_ms)
-                             .WithQdisc(cell.qdisc)
-                             .WithRecovery(cell.recovery);
+                             .WithDurationMs(ms)
+                             .WithQdisc(qdisc)
+                             .WithRecovery(recovery);
   // Two long-lived flows keep the fabric realistically busy; the churn is
   // the measured population.
   cfg.workload.num_flows = 2;
@@ -74,9 +57,28 @@ ExperimentConfig CellConfig(const Cell& cell, const BenchArgs& args) {
   return cfg;
 }
 
-BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
+// The recovery mode x VOQ discipline cells, narrowed by --recovery and
+// --qdisc.
+std::vector<SweepCase> Cells(const BenchArgs& args) {
+  std::vector<SweepCase> cells;
+  for (const QdiscKind q : {QdiscKind::kDropTail, QdiscKind::kCodel}) {
+    for (const RecoveryMode m :
+         {RecoveryMode::kOff, RecoveryMode::kRack, RecoveryMode::kAgent}) {
+      if ((args.qdisc.empty() || args.qdisc == QdiscKindName(q)) &&
+          (args.recovery.empty() || args.recovery == RecoveryModeName(m))) {
+        cells.push_back(
+            {std::string(RecoveryModeName(m)) + "/" + QdiscKindName(q),
+             CellConfig(m, q, args.duration_ms)});
+      }
+    }
+  }
+  return cells;
+}
+
+BenchRun ToRun(const SweepCell& cell) {
+  const ExperimentResult& r = FirstRun(cell);
   BenchRun run;
-  run.name = cell.name;
+  run.name = cell.label;
   run.iterations = 1;
   auto& c = run.counters;
   c["completed"] = static_cast<double>(r.churn_fct_us.size());
@@ -102,40 +104,23 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
 int main(int argc, char** argv) {
   const BenchArgs args = ParseBenchArgs(argc, argv, 40);
 
-  std::vector<Cell> cells = Cells();
-  if (!args.recovery.empty()) {
-    std::erase_if(cells, [&](const Cell& c) {
-      return RecoveryModeName(c.recovery) != args.recovery;
-    });
-  }
-  if (!args.qdisc.empty()) {
-    std::erase_if(cells, [&](const Cell& c) {
-      return QdiscKindName(c.qdisc) != args.qdisc;
-    });
-  }
-
   std::printf("Short-flow FCT under faulted churn (%d ms, Gilbert-Elliott "
               "fabric loss + lossy\nnotifications, 400 short transfers), per "
               "recovery mode x VOQ discipline:\n\n",
               args.duration_ms);
 
-  // One private Simulator per cell on the pool; results are bit-identical
-  // at any job count.
-  std::vector<ExperimentResult> results(cells.size());
-  ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    results[i] = RunExperiment(CellConfig(cells[i], args));
-  });
+  const SweepResult sweep = RunBenchCells(Cells(args), args);
 
   std::printf("%-15s %9s %8s %9s %9s %9s %7s %7s %7s %9s\n", "cell",
               "completed", "abnorml", "p50_us", "p99_us", "p999_us", "rto",
               "forced", "rescue", "spurious");
   BenchReport report;
   report.context = "bench_shortflows";
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const BenchRun run = ToRun(cells[i], results[i]);
+  for (const SweepCell& cell : sweep.cells) {
+    const BenchRun run = ToRun(cell);
     std::printf(
         "%-15s %6.0f/%-3.0f %7.0f %9.0f %9.0f %9.0f %7.0f %7.0f %7.0f %9.0f\n",
-        cells[i].name.c_str(), run.counters.at("completed"),
+        cell.label.c_str(), run.counters.at("completed"),
         run.counters.at("opened"), run.counters.at("abnormal"),
         run.counters.at("fct_p50_us"), run.counters.at("fct_p99_us"),
         run.counters.at("fct_p999_us"), run.counters.at("timeouts"),
@@ -150,14 +135,6 @@ int main(int argc, char** argv) {
               "the backed-off RTO), at the cost of a few\nspurious forcings "
               "the DSACK undo machinery repairs.\n");
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-  }
+  WriteOut(args, &sweep, &report);
   return 0;
 }

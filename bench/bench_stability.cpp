@@ -21,31 +21,15 @@
 // With --out the per-cell verdict counters are written as tdtcp-bench/1
 // JSON (the tracked BENCH_stability.json baseline, gated with
 // tools/bench_compare.py) and the full results as tdtcp-sweep/1 JSON/CSV
-// (<out>_sweep.json/.csv) carrying the stability_* metric family.
+// (<out>_sweep.json/.csv) carrying the stability_* metric family. With
+// --seeds=K the table, the phase counts and the tdtcp-bench/1 report use
+// seed 1; the sweep files carry every seed.
 #include "bench_util.hpp"
 
 using namespace tdtcp;
 using namespace tdtcp::bench;
 
 namespace {
-
-struct StabilityArgs {
-  bool require_phases = false;
-};
-
-StabilityArgs ParseStabilityArgs(int& argc, char** argv) {
-  StabilityArgs out;
-  int kept = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--require-phases") == 0) {
-      out.require_phases = true;
-    } else {
-      argv[kept++] = argv[i];
-    }
-  }
-  argc = kept;
-  return out;
-}
 
 struct Cell {
   std::string name;
@@ -89,9 +73,6 @@ ExperimentConfig CellConfig(const Cell& cell, const BenchArgs& args) {
     cfg.workload.base.rtt.min_rto = SimTime::Micros(cell.day_us * 8);
     cfg.workload.base.rtt.initial_rto = SimTime::Micros(cell.day_us * 8);
   }
-  ApplyQdisc(cfg, args);
-  ApplyRecovery(cfg, args);
-  ApplyPerturbation(cfg, args);
   return cfg;
 }
 
@@ -124,18 +105,23 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  StabilityArgs sargs = ParseStabilityArgs(argc, argv);
-  const BenchArgs args = ParseBenchArgs(argc, argv, 60);
+  bool require_phases = false;
+  const BenchArgs args = ParseBenchArgs(argc, argv, 60, [&](const char* a) {
+    if (std::strcmp(a, "--require-phases") != 0) return false;
+    require_phases = true;
+    return true;
+  });
 
   const std::vector<Cell> cells = Cells();
   std::printf("Stability phase diagram: rotation period x load (x RTO "
               "stressors), two-rack\nfabric, %d ms per cell, convergence "
               "oracle verdicts per flow:\n\n", args.duration_ms);
 
-  std::vector<ExperimentResult> results(cells.size());
-  ParallelFor(args.jobs, cells.size(), [&](std::size_t i) {
-    results[i] = RunExperiment(CellConfig(cells[i], args));
-  });
+  std::vector<SweepCase> cases;
+  for (const Cell& cell : cells) {
+    cases.push_back({cell.name, CellConfig(cell, args)});
+  }
+  const SweepResult sweep = RunBenchCells(cases, args);
 
   std::printf("%-26s %7s %5s | %5s %5s %5s %5s | %9s %10s %-12s\n", "cell",
               "day_us", "flows", "conv", "osc", "starv", "insuf", "worst_amp",
@@ -145,7 +131,7 @@ int main(int argc, char** argv) {
   std::uint64_t oscillating_cells = 0, converged_cells = 0;
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& cell = cells[i];
-    const ExperimentResult& r = results[i];
+    const ExperimentResult& r = FirstRun(sweep.cells[i]);
     const char* phase = CellPhase(r);
     if (std::strcmp(phase, "oscillating") == 0) ++oscillating_cells;
     if (std::strcmp(phase, "converged") == 0) ++converged_cells;
@@ -166,7 +152,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(converged_cells), cells.size());
 
   bool ok = true;
-  if (sargs.require_phases && (oscillating_cells == 0 || converged_cells == 0)) {
+  if (require_phases && (oscillating_cells == 0 || converged_cells == 0)) {
     std::fprintf(stderr,
                  "FAIL: phase diagram must contain at least one oscillating "
                  "and one converged cell (got %llu/%llu)\n",
@@ -175,34 +161,6 @@ int main(int argc, char** argv) {
     ok = false;
   }
 
-  if (!args.out.empty()) {
-    try {
-      WriteBenchJson(args.out + ".json", report);
-      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
-                   kBenchSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    }
-    SweepResult sweep;
-    sweep.jobs = ResolveJobs(args.jobs);
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      SweepCell cell;
-      cell.label = cells[i].name;
-      cell.variant = results[i].variant;
-      cell.duration = results[i].duration;
-      cell.runs.push_back(SweepRun{/*seed=*/1, results[i]});
-      cell.metrics = AggregateRuns(cell.runs);
-      sweep.cells.push_back(std::move(cell));
-    }
-    try {
-      WriteSweepJson(args.out + "_sweep.json", sweep);
-      WriteSweepCsv(args.out + "_sweep.csv", sweep);
-      std::fprintf(stderr, "  wrote %s_sweep.json, %s_sweep.csv (schema %s)\n",
-                   args.out.c_str(), args.out.c_str(), kSweepSchemaVersion);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "  sweep out failed: %s\n", e.what());
-    }
-  }
-
+  WriteOut(args, &sweep, &report);
   return ok ? 0 : 1;
 }

@@ -1,24 +1,31 @@
-// Shared bench harness, a thin layer over the sweep engine (app/sweep.hpp):
-// benches declare a base config and a variant list, and the engine runs the
-// (variant x seed) grid on a thread pool, aggregates across seeds, and
-// emits versioned JSON/CSV through app/result_io.hpp.
+// Shared bench harness, a thin layer over the sweep engine (app/sweep.hpp).
+// A bench declares its cells as fully-resolved SweepCases (or a base config
+// and a variant list, via RunVariants); RunBenchCells runs --seeds seeds of
+// each cell through RunCases on the pool with the shared overrides applied,
+// and WriteOut is the one --out writer (app/result_io.hpp).
 //
 // Every bench accepts the shared flags
 //     ./bench_xxx [duration_ms] [--duration-ms=D] [--jobs=N] [--seeds=K]
-//                 [--qdisc=NAME] [--out=path] [--schedule-jitter=US]
-//                 [--day-skew=S]
-// --jobs=0 (the default) uses one worker per hardware thread; results are
-// bit-identical at any job count. --seeds=K averages K deterministic seeds
-// per configuration and reports mean +/- 95% CI. --qdisc selects the VOQ
-// queue discipline (droptail | codel | delaymark | sharedpool; empty keeps
-// the config's default). Longer durations average more optical weeks per
-// seed (the paper averages thousands). --out=path writes path.json (schema
-// tdtcp-sweep/1) and path.csv next to the figure CSVs.
+//                 [--qdisc=NAME] [--recovery=MODE] [--out=path]
+//                 [--schedule-jitter=US] [--day-skew=S]
+// and honours each or refuses it: a bench that builds its own simulations
+// (bench_incast, bench_fairness) calls RefuseFlags for the ones it cannot
+// honour. --jobs=0 (the default) uses one worker per hardware thread;
+// results are bit-identical at any job count. --seeds=K runs seeds 1..K per
+// cell and aggregates mean +/- 95% CI (tables print the first seed unless
+// they print means). --qdisc selects the VOQ queue discipline (droptail |
+// codel | delaymark | sharedpool), --recovery the tail-recovery mode (off |
+// rack | agent); empty keeps the config's default. Longer durations average
+// more optical weeks per seed (the paper averages thousands).
 #pragma once
 
+#include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -31,170 +38,227 @@
 namespace tdtcp::bench {
 
 struct BenchArgs {
+  std::string prog;   // argv[0], for messages
   int duration_ms = 0;
   int jobs = 0;       // 0 = hardware concurrency
   int seeds = 1;      // seeds 1..K per configuration point
   std::string qdisc;  // VOQ discipline name ("" = config default)
   std::string recovery;  // recovery mode name ("" = config default)
-  std::string out;    // base path for sweep JSON/CSV ("" = don't write)
+  std::string out;    // base path for --out files ("" = don't write)
   // Adversarial-schedule axes, applied to every run (0 = nominal schedule):
   // --schedule-jitter=J adds a uniform +/- J µs draw to every day/night
   // boundary; --day-skew=S stretches even days by (1+S) and shrinks odd days
   // by (1-S), S in [0, 1).
   double schedule_jitter_us = 0.0;
   double day_skew = 0.0;
-
-  std::vector<std::uint64_t> SeedList() const {
-    std::vector<std::uint64_t> s;
-    for (int i = 1; i <= seeds; ++i) s.push_back(static_cast<std::uint64_t>(i));
-    return s;
-  }
+  std::vector<std::string> given;  // the --flag names on the command line
 };
 
-inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms) {
+[[noreturn]] inline void ExitUsage(const std::string& prog) {
+  std::fprintf(stderr,
+               "usage: %s [duration_ms] [--duration-ms=D] [--jobs=N] "
+               "[--seeds=K] [--qdisc=NAME] [--recovery=MODE] [--out=path] "
+               "[--schedule-jitter=US] [--day-skew=S]\n",
+               prog.c_str());
+  std::exit(2);
+}
+
+// Parses the whole of `v` as a number; exits 2 on anything else (atoi would
+// read "x" as 0 and silently fall back to a default).
+template <class T>
+T ParseNumber(const char* prog, const char* flag, const char* v) {
+  T out{};
+  const char* end = v + std::strlen(v);
+  const auto [p, ec] = std::from_chars(v, end, out);
+  if (ec != std::errc() || p != end) {
+    std::fprintf(stderr, "%s: %s needs a number, got '%s'\n", prog, flag, v);
+    std::exit(2);
+  }
+  return out;
+}
+
+// Exits 2 unless `from_name` accepts the value of --`flag`.
+template <class FromName>
+void RequireKnownName(const char* prog, const char* flag, const char* value,
+                      FromName from_name, const char* expected) {
+  try {
+    (void)from_name(value);
+  } catch (const std::invalid_argument&) {
+    std::fprintf(stderr, "%s: unknown %s '%s' (expected %s)\n", prog, flag,
+                 value, expected);
+    std::exit(2);
+  }
+}
+
+// Parses the shared flags. A bench with flags of its own passes `extra`,
+// which gets every argument the shared set does not know and returns
+// whether it took it; anything left over prints the usage and exits 2.
+inline BenchArgs ParseBenchArgs(
+    int argc, char** argv, int default_ms,
+    const std::function<bool(const char*)>& extra = {}) {
   BenchArgs args;
+  args.prog = argv[0];
   args.duration_ms = default_ms;
   for (int i = 1; i < argc; ++i) {
     const char* a = argv[i];
-    if (std::strncmp(a, "--duration-ms=", 14) == 0) {
-      args.duration_ms = std::atoi(a + 14);
-    } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-      args.jobs = std::atoi(a + 7);
-    } else if (std::strncmp(a, "--seeds=", 8) == 0) {
-      args.seeds = std::max(1, std::atoi(a + 8));
-    } else if (std::strncmp(a, "--qdisc=", 8) == 0) {
-      args.qdisc = a + 8;
-      try {
-        (void)QdiscKindFromName(args.qdisc);
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr,
-                     "%s: unknown --qdisc '%s' (expected droptail | codel | "
-                     "delaymark | sharedpool)\n",
-                     argv[0], args.qdisc.c_str());
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--recovery=", 11) == 0) {
-      args.recovery = a + 11;
-      try {
-        (void)RecoveryModeFromName(args.recovery);
-      } catch (const std::invalid_argument&) {
-        std::fprintf(stderr,
-                     "%s: unknown --recovery '%s' (expected off | rack | "
-                     "agent)\n",
-                     argv[0], args.recovery.c_str());
-        std::exit(2);
-      }
-    } else if (std::strncmp(a, "--out=", 6) == 0) {
-      args.out = a + 6;
-    } else if (std::strncmp(a, "--schedule-jitter=", 18) == 0) {
-      args.schedule_jitter_us = std::atof(a + 18);
+    const char* v = nullptr;
+    // Matches "--NAME=VALUE", leaving VALUE in v.
+    const auto flag = [&](const char* name) {
+      const std::size_t n = std::strlen(name);
+      if (std::strncmp(a, name, n) != 0 || a[n] != '=') return false;
+      v = a + n + 1;
+      args.given.push_back(name);
+      return true;
+    };
+    if (flag("--duration-ms")) {
+      args.duration_ms = ParseNumber<int>(argv[0], "--duration-ms", v);
+    } else if (flag("--jobs")) {
+      args.jobs = ParseNumber<int>(argv[0], "--jobs", v);
+    } else if (flag("--seeds")) {
+      args.seeds = std::max(1, ParseNumber<int>(argv[0], "--seeds", v));
+    } else if (flag("--qdisc")) {
+      RequireKnownName(argv[0], "--qdisc", v, QdiscKindFromName,
+                       "droptail | codel | delaymark | sharedpool");
+      args.qdisc = v;
+    } else if (flag("--recovery")) {
+      RequireKnownName(argv[0], "--recovery", v, RecoveryModeFromName,
+                       "off | rack | agent");
+      args.recovery = v;
+    } else if (flag("--out")) {
+      args.out = v;
+    } else if (flag("--schedule-jitter")) {
+      args.schedule_jitter_us =
+          ParseNumber<double>(argv[0], "--schedule-jitter", v);
       if (args.schedule_jitter_us < 0.0) {
         std::fprintf(stderr, "%s: --schedule-jitter must be >= 0 µs\n",
                      argv[0]);
         std::exit(2);
       }
-    } else if (std::strncmp(a, "--day-skew=", 11) == 0) {
-      args.day_skew = std::atof(a + 11);
+    } else if (flag("--day-skew")) {
+      args.day_skew = ParseNumber<double>(argv[0], "--day-skew", v);
       if (args.day_skew < 0.0 || args.day_skew >= 1.0) {
         std::fprintf(stderr, "%s: --day-skew must be in [0, 1)\n", argv[0]);
         std::exit(2);
       }
     } else if (a[0] != '-' && std::atoi(a) > 0) {
       args.duration_ms = std::atoi(a);  // legacy positional [duration_ms]
-    } else {
-      std::fprintf(stderr,
-                   "usage: %s [duration_ms] [--duration-ms=D] [--jobs=N] "
-                   "[--seeds=K] [--qdisc=NAME] [--recovery=MODE] [--out=path] "
-                   "[--schedule-jitter=US] [--day-skew=S]\n",
-                   argv[0]);
-      std::exit(2);
+    } else if (!extra || !extra(a)) {
+      ExitUsage(args.prog);
     }
   }
   if (args.duration_ms <= 0) args.duration_ms = default_ms;
   return args;
 }
 
-// Applies --qdisc (when given) onto a config: one line in every bench's
-// setup path makes the discipline a command-line axis.
-inline void ApplyQdisc(ExperimentConfig& cfg, const BenchArgs& args) {
-  if (!args.qdisc.empty()) cfg.WithQdisc(QdiscKindFromName(args.qdisc));
+// For a bench that builds its own simulations: exits 2 with the usage
+// message when any of the `refused` shared flags was given.
+inline void RefuseFlags(const BenchArgs& args,
+                        std::initializer_list<const char*> refused) {
+  for (const char* name : refused) {
+    if (std::find(args.given.begin(), args.given.end(), name) !=
+        args.given.end()) {
+      std::fprintf(stderr, "%s: %s is not supported by this bench\n",
+                   args.prog.c_str(), name);
+      ExitUsage(args.prog);
+    }
+  }
 }
 
-// Applies --recovery (when given): the tail-recovery axis (off | rack |
-// agent) becomes a command-line knob on every sim-scale bench.
-inline void ApplyRecovery(ExperimentConfig& cfg, const BenchArgs& args) {
+// Applies --qdisc, --recovery, --schedule-jitter and --day-skew (when given)
+// to one resolved config. Each sets fields that nothing else in a cell
+// derives from (the VOQ kind, the recovery mode, the perturbation), so the
+// result does not depend on whether this runs before or after WithVariant.
+inline void ApplySharedFlags(ExperimentConfig& cfg, const BenchArgs& args) {
+  if (!args.qdisc.empty()) cfg.WithQdisc(QdiscKindFromName(args.qdisc));
   if (!args.recovery.empty()) {
     cfg.WithRecovery(RecoveryModeFromName(args.recovery));
   }
+  if (args.schedule_jitter_us != 0.0 || args.day_skew != 0.0) {
+    PerturbationConfig p = cfg.perturb;  // keep any bench-specific changes
+    p.day_skew = args.day_skew;
+    p.jitter = SimTime::Picos(
+        static_cast<std::int64_t>(args.schedule_jitter_us * 1e6));
+    cfg.WithSchedulePerturbation(std::move(p));
+  }
 }
 
-// Applies --schedule-jitter / --day-skew (when given): every bench binary
-// runs under a perturbed rotor schedule without per-bench plumbing.
-inline void ApplyPerturbation(ExperimentConfig& cfg, const BenchArgs& args) {
-  if (args.schedule_jitter_us == 0.0 && args.day_skew == 0.0) return;
-  PerturbationConfig p = cfg.perturb;  // keep any bench-specific changes
-  p.day_skew = args.day_skew;
-  p.jitter = SimTime::Picos(
-      static_cast<std::int64_t>(args.schedule_jitter_us * 1e6));
-  cfg.WithSchedulePerturbation(std::move(p));
-}
-
-struct VariantRun {
-  Variant variant;
-  ExperimentResult result;  // first seed's run (curves and series)
-  std::vector<std::pair<std::string, MetricStats>> stats;  // across seeds
-
-  const MetricStats* stat(const std::string& name) const {
-    for (const auto& [n, s] : stats) {
-      if (n == name) return &s;
+// The one bench runner: every cell (a fully-resolved case, its seed aside)
+// runs under seeds 1..--seeds with the shared flags applied, all through
+// RunCases on the pool. Cells come back in input order.
+inline SweepResult RunBenchCells(const std::vector<SweepCase>& cells,
+                                 const BenchArgs& args,
+                                 bool check_bit_identity = false) {
+  std::vector<SweepCase> cases;
+  cases.reserve(cells.size() * static_cast<std::size_t>(args.seeds));
+  for (const SweepCase& cell : cells) {
+    for (int seed = 1; seed <= args.seeds; ++seed) {
+      SweepCase& c = cases.emplace_back(cell);
+      c.config.WithSeed(static_cast<std::uint64_t>(seed));
+      ApplySharedFlags(c.config, args);
     }
-    return nullptr;
   }
-};
-
-// Writes the full sweep (per-seed metrics + aggregates) when --out given.
-inline void MaybeWriteSweep(const BenchArgs& args, const SweepResult& sweep) {
-  if (args.out.empty()) return;
-  try {
-    WriteSweepJson(args.out + ".json", sweep);
-    WriteSweepCsv(args.out + ".csv", sweep);
-  } catch (const std::exception& e) {
-    // The results are already printed; a bad --out path shouldn't abort.
-    std::fprintf(stderr, "  --out failed: %s\n", e.what());
-    return;
-  }
-  std::fprintf(stderr, "  wrote %s.json, %s.csv (schema %s)\n",
-               args.out.c_str(), args.out.c_str(), kSweepSchemaVersion);
+  std::fprintf(stderr, "  sweep: %zu cells x %d seed%s, jobs=%d...\n",
+               cells.size(), args.seeds, args.seeds == 1 ? "" : "s",
+               ResolveJobs(args.jobs));
+  SweepResult sweep = RunCases(cases, static_cast<std::size_t>(args.seeds),
+                               args.jobs, check_bit_identity);
+  std::fprintf(stderr, "  done in %.2fs wall\n", sweep.wall_seconds);
+  return sweep;
 }
 
-// Runs each variant under `base` on the sweep engine's thread pool,
-// averaging args.seeds seeds per variant. Duration/warmup come from `base`
-// (set them via WithDurationMs(args.duration_ms) or explicitly).
-inline std::vector<VariantRun> RunVariants(const std::vector<Variant>& variants,
-                                           const ExperimentConfig& base,
-                                           const BenchArgs& args) {
+// The first seed's run of a cell: what the printed tables show.
+inline const ExperimentResult& FirstRun(const SweepCell& cell) {
+  return cell.runs.front().result;
+}
+
+// A cell's cross-seed statistics for one SweepMetrics() name.
+inline const MetricStats& Stat(const SweepCell& cell, const std::string& name) {
+  for (const auto& [n, s] : cell.metrics) {
+    if (n == name) return s;
+  }
+  throw std::out_of_range("no sweep metric " + name);
+}
+
+// The one --out writer. With a tdtcp-bench/1 report the report goes to
+// <out>.json and the sweep to <out>_sweep.json/.csv; without one the sweep
+// goes to <out>.json/.csv. A failed write exits 1: the tables are printed,
+// but the file a later comparison reads is missing.
+inline void WriteOut(const BenchArgs& args, const SweepResult* sweep,
+                     const BenchReport* report = nullptr) {
+  if (args.out.empty()) return;
+  const std::string sweep_base = report ? args.out + "_sweep" : args.out;
+  try {
+    if (report) {
+      WriteBenchJson(args.out + ".json", *report);
+      std::fprintf(stderr, "  wrote %s.json (schema %s)\n", args.out.c_str(),
+                   kBenchSchemaVersion);
+    }
+    if (sweep) {
+      WriteSweepJson(sweep_base + ".json", *sweep);
+      WriteSweepCsv(sweep_base + ".csv", *sweep);
+      std::fprintf(stderr, "  wrote %s.json, %s.csv (schema %s)\n",
+                   sweep_base.c_str(), sweep_base.c_str(),
+                   kSweepSchemaVersion);
+    }
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: --out failed: %s\n", args.prog.c_str(),
+                 e.what());
+    std::exit(1);
+  }
+}
+
+// Runs each variant under `base` through RunBenchCells and writes --out;
+// one cell per variant, in order. Duration/warmup come from `base` (set
+// them via WithDurationMs(args.duration_ms) or explicitly).
+inline std::vector<SweepCell> RunVariants(const std::vector<Variant>& variants,
+                                          const ExperimentConfig& base,
+                                          const BenchArgs& args) {
   SweepSpec spec;
   spec.base = base;
-  ApplyQdisc(spec.base, args);
-  ApplyRecovery(spec.base, args);
-  ApplyPerturbation(spec.base, args);
   spec.variants = variants;
-  spec.seeds = args.SeedList();
-  spec.jobs = args.jobs;
-
-  std::fprintf(stderr, "  sweep: %zu variants x %d seed%s, jobs=%d...\n",
-               variants.size(), args.seeds, args.seeds == 1 ? "" : "s",
-               ResolveJobs(args.jobs));
-  SweepResult sweep = RunSweep(spec);
-  std::fprintf(stderr, "  done in %.2fs wall\n", sweep.wall_seconds);
-  MaybeWriteSweep(args, sweep);
-
-  std::vector<VariantRun> out;
-  for (SweepCell& cell : sweep.cells) {
-    out.push_back(VariantRun{cell.variant, std::move(cell.runs.front().result),
-                             std::move(cell.metrics)});
-  }
-  return out;
+  SweepResult sweep = RunBenchCells(ExpandGrid(spec), args);
+  WriteOut(args, &sweep);
+  return std::move(sweep.cells);
 }
 
 // Prints a paper-style sequence-number table: one row per `row_step_us`,
@@ -222,29 +286,26 @@ inline void PrintSeqTable(const std::vector<NamedSeries>& series,
   }
 }
 
-// Interpolated lookup of a folded curve at `offset_us`.
-inline double CurveAt(const std::vector<FoldedPoint>& curve, double offset_us) {
-  if (curve.empty()) return 0;
-  for (std::size_t i = 1; i < curve.size(); ++i) {
-    if (curve[i].offset_us >= offset_us) return curve[i].mean;
-  }
-  return curve.back().mean;
+// Mean of a folded curve's values (0 when empty).
+inline double CurveMean(const std::vector<FoldedPoint>& curve) {
+  double sum = 0;
+  for (const FoldedPoint& p : curve) sum += p.mean;
+  return curve.empty() ? 0.0 : sum / curve.size();
 }
 
-inline void PrintGoodputSummary(const std::vector<VariantRun>& runs,
+inline void PrintGoodputSummary(const std::vector<SweepCell>& runs,
                                 double optimal_bps, double packet_only_bps) {
-  const bool ci = !runs.empty() && runs.front().stat("goodput_bps") &&
-                  runs.front().stat("goodput_bps")->n > 1;
+  const bool ci = !runs.empty() && Stat(runs.front(), "goodput_bps").n > 1;
   std::printf("\n%-10s %10s %8s %8s%s\n", "variant", "goodput", "of-opt",
               "vs-pkt", ci ? "    ci95" : "");
   std::printf("%-10s %7.2f Gb %7.1f%% %7.2fx\n", "optimal", optimal_bps / 1e9,
               100.0, optimal_bps / packet_only_bps);
-  for (const auto& r : runs) {
-    const MetricStats* g = r.stat("goodput_bps");
-    const double bps = g ? g->mean : r.result.goodput_bps;
+  for (const SweepCell& r : runs) {
+    const MetricStats& g = Stat(r, "goodput_bps");
     std::printf("%-10s %7.2f Gb %7.1f%% %7.2fx", VariantName(r.variant),
-                bps / 1e9, 100.0 * bps / optimal_bps, bps / packet_only_bps);
-    if (ci && g) std::printf("  +-%.2f Gb", g->ci95 / 1e9);
+                g.mean / 1e9, 100.0 * g.mean / optimal_bps,
+                g.mean / packet_only_bps);
+    if (ci) std::printf("  +-%.2f Gb", g.ci95 / 1e9);
     std::printf("\n");
   }
   std::printf("%-10s %7.2f Gb %7.1f%% %7.2fx\n", "pkt-only",
@@ -254,25 +315,25 @@ inline void PrintGoodputSummary(const std::vector<VariantRun>& runs,
 
 // Assembles the standard figure bundle: per-variant seq curves plus the
 // analytic optimal/packet-only lines from the first run.
-inline std::vector<NamedSeries> SeqSeries(const std::vector<VariantRun>& runs) {
+inline std::vector<NamedSeries> SeqSeries(const std::vector<SweepCell>& runs) {
   std::vector<NamedSeries> series;
   if (!runs.empty()) {
-    series.push_back(NamedSeries{"optimal", runs.front().result.optimal_curve});
+    series.push_back(NamedSeries{"optimal", FirstRun(runs.front()).optimal_curve});
   }
-  for (const auto& r : runs) {
-    series.push_back(NamedSeries{VariantName(r.variant), r.result.seq_curve});
+  for (const SweepCell& r : runs) {
+    series.push_back(NamedSeries{VariantName(r.variant), FirstRun(r).seq_curve});
   }
   if (!runs.empty()) {
     series.push_back(
-        NamedSeries{"packet_only", runs.front().result.packet_only_curve});
+        NamedSeries{"packet_only", FirstRun(runs.front()).packet_only_curve});
   }
   return series;
 }
 
-inline std::vector<NamedSeries> VoqSeries(const std::vector<VariantRun>& runs) {
+inline std::vector<NamedSeries> VoqSeries(const std::vector<SweepCell>& runs) {
   std::vector<NamedSeries> series;
-  for (const auto& r : runs) {
-    series.push_back(NamedSeries{VariantName(r.variant), r.result.voq_curve});
+  for (const SweepCell& r : runs) {
+    series.push_back(NamedSeries{VariantName(r.variant), FirstRun(r).voq_curve});
   }
   return series;
 }

@@ -1,8 +1,10 @@
 #include "app/sweep.hpp"
 
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 #include <exception>
 #include <iterator>
 #include <mutex>
@@ -286,8 +288,10 @@ std::vector<SweepCase> ExpandGrid(const SweepSpec& spec) {
   return cases;
 }
 
-std::vector<ExperimentResult> RunCases(const std::vector<SweepCase>& cases,
-                                       int jobs) {
+namespace {
+
+std::vector<ExperimentResult> RunAll(const std::vector<SweepCase>& cases,
+                                     int jobs) {
   std::vector<ExperimentResult> results(cases.size());
   ParallelFor(jobs, cases.size(), [&](std::size_t i) {
     results[i] = RunExperiment(cases[i].config);
@@ -295,15 +299,49 @@ std::vector<ExperimentResult> RunCases(const std::vector<SweepCase>& cases,
   return results;
 }
 
-SweepResult RunSweep(const SweepSpec& spec) {
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<SweepCase> cases = ExpandGrid(spec);
-  const std::size_t seeds_per_cell =
-      spec.seeds.empty() ? 1 : spec.seeds.size();
+// Throws unless every metric of every pooled run matches its serial rerun
+// bit for bit (NaN included, so the comparison is on the bit pattern).
+void RequireBitIdentical(const std::vector<SweepCase>& cases,
+                         const std::vector<ExperimentResult>& pooled,
+                         const std::vector<ExperimentResult>& serial) {
+  std::string diff;
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    for (const SweepMetric& m : kSweepMetrics) {
+      const double a = m.get(pooled[i]);
+      const double b = m.get(serial[i]);
+      if (std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b)) {
+        continue;
+      }
+      char line[256];
+      std::snprintf(line, sizeof line, "\n  %s seed %llu %s: %.17g != %.17g",
+                    cases[i].label.c_str(),
+                    static_cast<unsigned long long>(cases[i].config.seed),
+                    m.name, a, b);
+      diff += line;
+    }
+  }
+  if (!diff.empty()) {
+    throw std::runtime_error("jobs=1 != jobs=N (pooled != serial):" + diff);
+  }
+}
 
+}  // namespace
+
+SweepResult RunCases(const std::vector<SweepCase>& cases,
+                     std::size_t seeds_per_cell, int jobs,
+                     bool check_bit_identity) {
+  if (seeds_per_cell == 0 || cases.size() % seeds_per_cell != 0) {
+    throw std::invalid_argument(
+        "RunCases: cases must hold seeds_per_cell runs per cell");
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<ExperimentResult> results = RunAll(cases, jobs);
   SweepResult out;
-  out.jobs = ResolveJobs(spec.jobs);
-  std::vector<ExperimentResult> results = RunCases(cases, spec.jobs);
+  out.jobs = ResolveJobs(jobs);
+  out.wall_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  if (check_bit_identity) RequireBitIdentical(cases, results, RunAll(cases, 1));
 
   for (std::size_t i = 0; i < cases.size(); i += seeds_per_cell) {
     SweepCell cell;
@@ -320,11 +358,12 @@ SweepResult RunSweep(const SweepSpec& spec) {
     cell.metrics = AggregateRuns(cell.runs);
     out.cells.push_back(std::move(cell));
   }
-
-  out.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return out;
+}
+
+SweepResult RunSweep(const SweepSpec& spec) {
+  return RunCases(ExpandGrid(spec), spec.seeds.empty() ? 1 : spec.seeds.size(),
+                  spec.jobs);
 }
 
 }  // namespace tdtcp

@@ -102,10 +102,10 @@ struct SweepSpec {
 struct SweepCase {
   std::string label;
   ExperimentConfig config;
-  // Axis labels (after `config` so the common {label, config} aggregate
-  // init keeps working): empty for the base schedule/qdisc.
-  std::string schedule_label;
-  std::string qdisc_label;
+  // Axis labels (after `config`, defaulted, so {label, config} aggregate
+  // init works): empty for the base schedule/qdisc.
+  std::string schedule_label{};
+  std::string qdisc_label{};
 };
 
 // One grid cell = one (variant, schedule, duration) point, holding the
@@ -136,16 +136,22 @@ struct SweepResult {
 // then qdisc, then duration): cell i covers seeds [i*K, (i+1)*K).
 std::vector<SweepCase> ExpandGrid(const SweepSpec& spec);
 
-// Runs the whole grid on the pool and aggregates across seeds.
+// The one way cases become results. `cases` holds `seeds_per_cell`
+// consecutive runs per cell (seeds innermost, the order ExpandGrid emits);
+// all run on the pool, and each block becomes one SweepCell labelled by its
+// first case, with its runs in input order and cross-seed aggregates.
+// wall_seconds times the pooled run. With `check_bit_identity` every case
+// is rerun at jobs=1 and each SweepMetrics() value of each run must match
+// bit for bit (the jobs=1 == jobs=N contract); a mismatch throws
+// std::runtime_error naming the cell, seed and metric.
+SweepResult RunCases(const std::vector<SweepCase>& cases,
+                     std::size_t seeds_per_cell, int jobs,
+                     bool check_bit_identity = false);
+
+// ExpandGrid + RunCases.
 SweepResult RunSweep(const SweepSpec& spec);
 
-// Lower-level entry for benches whose axis is not expressible as the
-// standard grid (ablation rows, notification on/off, ...): runs each
-// fully-resolved case on the pool; results arrive in input order.
-std::vector<ExperimentResult> RunCases(const std::vector<SweepCase>& cases,
-                                       int jobs);
-
-// Re-aggregates a cell's runs (exposed for tests and custom pipelines).
+// Re-aggregates a cell's runs (exposed for tests).
 std::vector<std::pair<std::string, MetricStats>> AggregateRuns(
     const std::vector<SweepRun>& runs);
 

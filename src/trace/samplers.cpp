@@ -7,25 +7,40 @@
 
 namespace tdtcp {
 
-std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
-                                   SimTime week, SimTime warmup,
-                                   int plot_weeks) {
-  std::vector<FoldedPoint> out;
-  if (samples.size() < 2 || week <= SimTime::Zero()) return out;
+namespace {
 
-  // Assume a fixed sampling interval (SeriesSampler guarantees it).
-  const SimTime interval = samples[1].t - samples[0].t;
-  if (interval <= SimTime::Zero()) return out;
-  const std::int64_t per_week = week / interval;
-  if (per_week <= 0) return out;
-
-  // First sample index at/after the first week boundary past warmup.
-  const SimTime t0 = samples.front().t;
-  SimTime aligned_start = t0 + warmup;
+// Index of the first sample at/after the first week boundary past `warmup`
+// (measured from the first sample).
+std::size_t FirstWeekStart(const std::vector<Sample>& samples, SimTime week,
+                           SimTime warmup) {
+  SimTime aligned_start = samples.front().t + warmup;
   const SimTime rem = aligned_start % week;
   if (!rem.IsZero()) aligned_start += week - rem;
   std::size_t start = 0;
   while (start < samples.size() && samples[start].t < aligned_start) ++start;
+  return start;
+}
+
+// Samples per week at the series' (fixed) sampling interval, or 0 when the
+// series cannot be folded.
+std::int64_t SamplesPerWeek(const std::vector<Sample>& samples, SimTime week) {
+  if (samples.size() < 2 || week <= SimTime::Zero()) return 0;
+  // Assume a fixed sampling interval (SeriesSampler guarantees it).
+  const SimTime interval = samples[1].t - samples[0].t;
+  if (interval <= SimTime::Zero()) return 0;
+  return week / interval;
+}
+
+}  // namespace
+
+std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
+                                   SimTime week, SimTime warmup,
+                                   int plot_weeks) {
+  std::vector<FoldedPoint> out;
+  const std::int64_t per_week = SamplesPerWeek(samples, week);
+  if (per_week <= 0) return out;
+  const SimTime interval = samples[1].t - samples[0].t;
+  const std::size_t start = FirstWeekStart(samples, week, warmup);
 
   // Average per-offset progress across complete weeks.
   std::vector<double> sums(static_cast<std::size_t>(per_week) + 1, 0.0);
@@ -55,20 +70,47 @@ std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
   return out;
 }
 
+std::vector<FoldedPoint> FoldLevels(const std::vector<Sample>& samples,
+                                    SimTime week, SimTime warmup,
+                                    int plot_weeks) {
+  std::vector<FoldedPoint> out;
+  const std::int64_t per_week = SamplesPerWeek(samples, week);
+  if (per_week <= 0) return out;
+  const SimTime interval = samples[1].t - samples[0].t;
+  const std::size_t start = FirstWeekStart(samples, week, warmup);
+
+  // Sum the raw level at each offset across complete weeks. A week here is
+  // exactly per_week samples (no shared boundary sample as in FoldWeeks).
+  std::vector<double> sums(static_cast<std::size_t>(per_week), 0.0);
+  std::size_t weeks = 0;
+  for (std::size_t w = start;
+       w + static_cast<std::size_t>(per_week) <= samples.size();
+       w += static_cast<std::size_t>(per_week)) {
+    for (std::int64_t k = 0; k < per_week; ++k) {
+      sums[static_cast<std::size_t>(k)] += samples[w + static_cast<std::size_t>(k)].value;
+    }
+    ++weeks;
+  }
+  if (weeks == 0) return out;
+
+  // Every tile repeats the same mean week: a level has no weekly gain.
+  for (int pw = 0; pw < plot_weeks; ++pw) {
+    for (std::int64_t k = 0; k < per_week; ++k) {
+      FoldedPoint p;
+      p.offset_us = (interval * k).micros_f() + week.micros_f() * pw;
+      p.mean = sums[static_cast<std::size_t>(k)] / static_cast<double>(weeks);
+      out.push_back(p);
+    }
+  }
+  return out;
+}
+
 std::vector<double> PerWeekDeltas(const std::vector<Sample>& samples,
                                   SimTime week, SimTime warmup) {
   std::vector<double> out;
-  if (samples.size() < 2 || week <= SimTime::Zero()) return out;
-  const SimTime interval = samples[1].t - samples[0].t;
-  const std::int64_t per_week = week / interval;
+  const std::int64_t per_week = SamplesPerWeek(samples, week);
   if (per_week <= 0) return out;
-
-  const SimTime t0 = samples.front().t;
-  SimTime aligned_start = t0 + warmup;
-  const SimTime rem = aligned_start % week;
-  if (!rem.IsZero()) aligned_start += week - rem;
-  std::size_t start = 0;
-  while (start < samples.size() && samples[start].t < aligned_start) ++start;
+  const std::size_t start = FirstWeekStart(samples, week, warmup);
 
   for (std::size_t w = start;
        w + static_cast<std::size_t>(per_week) < samples.size();

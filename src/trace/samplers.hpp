@@ -54,6 +54,14 @@ std::vector<FoldedPoint> FoldWeeks(const std::vector<Sample>& samples,
                                    SimTime week, SimTime warmup,
                                    int plot_weeks = 1);
 
+// FoldWeeks for a level (an occupancy such as VOQ packets) rather than a
+// counter: averages the raw value at each offset across complete weeks
+// after `warmup`, nothing taken relative to the week start, and tiles that
+// mean week `plot_weeks` times.
+std::vector<FoldedPoint> FoldLevels(const std::vector<Sample>& samples,
+                                    SimTime week, SimTime warmup,
+                                    int plot_weeks = 1);
+
 // Per-week deltas of a monotonically increasing counter, aligned to week
 // boundaries after `warmup` (Fig. 10 bins its counters per optical day; with
 // one optical day per week the two are the same).

@@ -212,12 +212,101 @@ TEST(RunCases, ResultsArriveInInputOrder) {
       {"cubic", TinyConfig(Variant::kCubic)},
       {"dctcp", TinyConfig(Variant::kDctcp)},
   };
-  const auto results = RunCases(cases, 3);
-  ASSERT_EQ(results.size(), 3u);
-  EXPECT_EQ(results[0].variant, Variant::kTdtcp);
-  EXPECT_EQ(results[1].variant, Variant::kCubic);
-  EXPECT_EQ(results[2].variant, Variant::kDctcp);
-  for (const auto& r : results) EXPECT_GT(r.total_bytes, 0u);
+  const SweepResult sweep = RunCases(cases, 1, 3);
+  ASSERT_EQ(sweep.cells.size(), 3u);
+  EXPECT_EQ(sweep.cells[0].runs.front().result.variant, Variant::kTdtcp);
+  EXPECT_EQ(sweep.cells[1].runs.front().result.variant, Variant::kCubic);
+  EXPECT_EQ(sweep.cells[2].runs.front().result.variant, Variant::kDctcp);
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    EXPECT_EQ(sweep.cells[i].label, cases[i].label);
+    EXPECT_GT(sweep.cells[i].runs.front().result.total_bytes, 0u);
+  }
+}
+
+TEST(RunCases, GroupsSeedsPerCellInInputOrder) {
+  // Cell labels and seeds deliberately out of order: the runner keeps the
+  // input order and never sorts.
+  const auto seeded = [](std::string label, Variant v, std::uint64_t seed) {
+    SweepCase c{std::move(label), TinyConfig(v).WithSeed(seed)};
+    c.qdisc_label = "q";
+    return c;
+  };
+  const std::vector<SweepCase> cases = {
+      seeded("zeta", Variant::kCubic, 5), seeded("zeta", Variant::kCubic, 2),
+      seeded("alpha", Variant::kTdtcp, 7), seeded("alpha", Variant::kTdtcp, 1),
+  };
+  const SweepResult sweep = RunCases(cases, 2, 4);
+  EXPECT_EQ(sweep.jobs, 4);
+  EXPECT_GT(sweep.wall_seconds, 0.0);
+  ASSERT_EQ(sweep.cells.size(), 2u);
+  const std::uint64_t want_seeds[2][2] = {{5, 2}, {7, 1}};
+  for (std::size_t c = 0; c < 2; ++c) {
+    const SweepCell& cell = sweep.cells[c];
+    EXPECT_EQ(cell.label, cases[2 * c].label);
+    EXPECT_EQ(cell.variant, cases[2 * c].config.workload.variant);
+    EXPECT_EQ(cell.qdisc_label, "q");
+    EXPECT_EQ(cell.duration, SimTime::Micros(2800));
+    ASSERT_EQ(cell.runs.size(), 2u);
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(cell.runs[k].seed, want_seeds[c][k]);
+      ExpectIdenticalResults(cell.runs[k].result,
+                             RunExperiment(cases[2 * c + k].config));
+    }
+    const auto want = AggregateRuns(cell.runs);
+    ASSERT_EQ(cell.metrics.size(), want.size());
+    for (std::size_t m = 0; m < want.size(); ++m) {
+      EXPECT_EQ(cell.metrics[m].first, want[m].first);
+      EXPECT_EQ(cell.metrics[m].second.n, 2u);
+      EXPECT_EQ(cell.metrics[m].second.mean, want[m].second.mean);
+      EXPECT_EQ(cell.metrics[m].second.ci95, want[m].second.ci95);
+    }
+  }
+}
+
+TEST(RunCases, EqualsRunSweepOnTheSameGridAtAnyJobCount) {
+  for (const int jobs : {1, 4}) {
+    const SweepSpec spec = TinySpec(jobs);
+    const SweepResult grid = RunSweep(spec);
+    const SweepResult cases =
+        RunCases(ExpandGrid(spec), spec.seeds.size(), jobs);
+    EXPECT_EQ(cases.jobs, grid.jobs);
+    EXPECT_GT(cases.wall_seconds, 0.0);
+    ASSERT_EQ(cases.cells.size(), grid.cells.size());
+    for (std::size_t c = 0; c < grid.cells.size(); ++c) {
+      const SweepCell& a = cases.cells[c];
+      const SweepCell& b = grid.cells[c];
+      EXPECT_EQ(a.label, b.label);
+      EXPECT_EQ(a.variant, b.variant);
+      EXPECT_EQ(a.duration, b.duration);
+      ASSERT_EQ(a.runs.size(), b.runs.size());
+      for (std::size_t r = 0; r < a.runs.size(); ++r) {
+        EXPECT_EQ(a.runs[r].seed, b.runs[r].seed);
+        EXPECT_EQ(ScalarMetrics(a.runs[r].result),
+                  ScalarMetrics(b.runs[r].result))
+            << a.label << " jobs=" << jobs;
+      }
+      ASSERT_EQ(a.metrics.size(), b.metrics.size());
+      for (std::size_t m = 0; m < a.metrics.size(); ++m) {
+        EXPECT_EQ(a.metrics[m].second.mean, b.metrics[m].second.mean);
+        EXPECT_EQ(a.metrics[m].second.stddev, b.metrics[m].second.stddev);
+      }
+    }
+  }
+}
+
+TEST(RunCases, BitIdentityCheckPassesOnDeterministicRuns) {
+  const std::vector<SweepCase> cases = ExpandGrid(TinySpec(4));
+  EXPECT_NO_THROW(RunCases(cases, 3, 4, /*check_bit_identity=*/true));
+}
+
+TEST(RunCases, RejectsCasesThatDoNotSplitIntoCells) {
+  const std::vector<SweepCase> cases = {
+      {"a", TinyConfig(Variant::kTdtcp)},
+      {"b", TinyConfig(Variant::kTdtcp)},
+      {"c", TinyConfig(Variant::kTdtcp)},
+  };
+  EXPECT_THROW(RunCases(cases, 0, 1), std::invalid_argument);
+  EXPECT_THROW(RunCases(cases, 2, 1), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------

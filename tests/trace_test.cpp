@@ -85,6 +85,76 @@ TEST(FoldWeeks, DegenerateInputsReturnEmpty) {
   EXPECT_TRUE(FoldWeeks(two, SimTime::Micros(1), SimTime::Zero()).empty());
 }
 
+// A level series: 10 samples per 100us week, value = `level(week, k)`.
+std::vector<Sample> LevelSeries(int weeks, double (*level)(int, int)) {
+  std::vector<Sample> out;
+  for (int w = 0; w < weeks; ++w) {
+    for (int k = 0; k < 10; ++k) {
+      out.push_back(Sample{SimTime::Micros(10) * (w * 10 + k), level(w, k)});
+    }
+  }
+  return out;
+}
+
+TEST(FoldLevels, AveragesRawLevelsNotProgress) {
+  // Week w holds level w + k at offset k: nothing is taken relative to the
+  // week start, so offset k averages (0 + 1 + 2 + 3) / 4 + k.
+  const auto samples =
+      LevelSeries(4, [](int w, int k) { return double(w + k); });
+  const auto curve =
+      FoldLevels(samples, SimTime::Micros(100), SimTime::Zero(), 1);
+  ASSERT_EQ(curve.size(), 10u);
+  for (int k = 0; k < 10; ++k) {
+    EXPECT_DOUBLE_EQ(curve[k].offset_us, 10.0 * k);
+    EXPECT_DOUBLE_EQ(curve[k].mean, 1.5 + k);
+  }
+}
+
+TEST(FoldLevels, CountsATrailingWeekWithoutABoundarySample) {
+  // Exactly two weeks of samples fold both (FoldWeeks would need one more
+  // sample to close the second week).
+  const auto samples =
+      LevelSeries(2, [](int w, int) { return w == 0 ? 2.0 : 4.0; });
+  const auto curve =
+      FoldLevels(samples, SimTime::Micros(100), SimTime::Zero(), 1);
+  ASSERT_EQ(curve.size(), 10u);
+  for (const FoldedPoint& p : curve) EXPECT_DOUBLE_EQ(p.mean, 3.0);
+}
+
+TEST(FoldLevels, WarmupSkipsEarlyWeeks) {
+  // The first week is garbage (level 100); warmup drops it.
+  const auto samples =
+      LevelSeries(3, [](int w, int) { return w == 0 ? 100.0 : 5.0; });
+  const auto curve =
+      FoldLevels(samples, SimTime::Micros(100), SimTime::Micros(100), 1);
+  ASSERT_EQ(curve.size(), 10u);
+  for (const FoldedPoint& p : curve) EXPECT_DOUBLE_EQ(p.mean, 5.0);
+}
+
+TEST(FoldLevels, PlotWeeksRepeatTheMeanWeek) {
+  const auto samples = LevelSeries(3, [](int, int k) { return double(k); });
+  const auto one = FoldLevels(samples, SimTime::Micros(100), SimTime::Zero(), 1);
+  const auto three =
+      FoldLevels(samples, SimTime::Micros(100), SimTime::Zero(), 3);
+  ASSERT_EQ(three.size(), 3 * one.size());
+  for (std::size_t i = 0; i < three.size(); ++i) {
+    EXPECT_DOUBLE_EQ(three[i].mean, one[i % one.size()].mean);
+    EXPECT_DOUBLE_EQ(three[i].offset_us,
+                     one[i % one.size()].offset_us + 100.0 * (i / one.size()));
+  }
+}
+
+TEST(FoldLevels, DegenerateInputsReturnEmpty) {
+  EXPECT_TRUE(FoldLevels({}, SimTime::Micros(100), SimTime::Zero()).empty());
+  const auto two = LinearCounter(SimTime::Micros(10), 2, 1.0);
+  EXPECT_TRUE(FoldLevels(two, SimTime::Micros(1), SimTime::Zero()).empty());
+  EXPECT_TRUE(FoldLevels(two, SimTime::Zero(), SimTime::Zero()).empty());
+  // Less than one whole week after warmup.
+  const auto short_series = LinearCounter(SimTime::Micros(10), 9, 1.0);
+  EXPECT_TRUE(
+      FoldLevels(short_series, SimTime::Micros(100), SimTime::Zero()).empty());
+}
+
 TEST(PerWeekDeltas, CountsPerWeek) {
   // Counter grows by 5 per week (10 samples of 10us each).
   std::vector<Sample> samples;
