@@ -75,9 +75,10 @@ FairnessResult MeasureFairness(Variant v, int ms, int flows, bool rdcn) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv, 120);
-  RefuseFlags(args, {"--seeds", "--qdisc", "--recovery", "--schedule-jitter",
-                     "--day-skew", "--out"});
+  BenchFlags flags;
+  flags.refused = {"--seeds", "--qdisc", "--recovery", "--schedule-jitter",
+                   "--day-skew", "--out"};
+  const BenchArgs args = ParseBenchArgs(argc, argv, 120, flags);
   const int ms = args.duration_ms;
   const int flows = 8;
 

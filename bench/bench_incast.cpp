@@ -170,9 +170,9 @@ BenchRun ToRun(const QdiscSetup& setup, const IncastStats& s, int waves) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const BenchArgs args = ParseBenchArgs(argc, argv, 20);
-  RefuseFlags(args, {"--seeds", "--recovery", "--schedule-jitter",
-                     "--day-skew"});
+  BenchFlags flags;
+  flags.refused = {"--seeds", "--recovery", "--schedule-jitter", "--day-skew"};
+  const BenchArgs args = ParseBenchArgs(argc, argv, 20, flags);
   const int waves = args.duration_ms;  // legacy: positional arg is the count
 
   std::vector<QdiscSetup> setups = Setups();

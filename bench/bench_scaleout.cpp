@@ -47,7 +47,7 @@ struct ScaleoutArgs {
   bool check_bit_identity = false;
 };
 
-// Takes one scaleout-specific flag (the ParseBenchArgs `extra` hook).
+// Takes one scaleout-specific flag (BenchFlags::parse).
 bool ParseScaleoutFlag(const char* a, ScaleoutArgs& out) {
   const auto count = [](const char* flag, const char* v) {
     return ParseNumber<std::uint32_t>("bench_scaleout", flag, v);
@@ -143,9 +143,12 @@ BenchRun ToRun(const SweepCell& cell) {
 
 int main(int argc, char** argv) {
   ScaleoutArgs sargs;
-  const BenchArgs args = ParseBenchArgs(argc, argv, 10, [&](const char* a) {
-    return ParseScaleoutFlag(a, sargs);
-  });
+  BenchFlags flags;
+  flags.usage =
+      "[--lifecycles=N] [--racks=R] [--policy=uniform|permutation|hotspot] "
+      "[--check-bit-identity]";
+  flags.parse = [&](const char* a) { return ParseScaleoutFlag(a, sargs); };
+  const BenchArgs args = ParseBenchArgs(argc, argv, 10, flags);
 
   std::vector<SweepCase> cells;
   for (const Cell& cell : Cells()) {

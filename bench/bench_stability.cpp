@@ -106,11 +106,14 @@ BenchRun ToRun(const Cell& cell, const ExperimentResult& r) {
 
 int main(int argc, char** argv) {
   bool require_phases = false;
-  const BenchArgs args = ParseBenchArgs(argc, argv, 60, [&](const char* a) {
+  BenchFlags flags;
+  flags.usage = "[--require-phases]";
+  flags.parse = [&](const char* a) {
     if (std::strcmp(a, "--require-phases") != 0) return false;
     require_phases = true;
     return true;
-  });
+  };
+  const BenchArgs args = ParseBenchArgs(argc, argv, 60, flags);
 
   const std::vector<Cell> cells = Cells();
   std::printf("Stability phase diagram: rotation period x load (x RTO "

@@ -9,9 +9,10 @@
 //                 [--qdisc=NAME] [--recovery=MODE] [--out=path]
 //                 [--schedule-jitter=US] [--day-skew=S]
 // and honours each or refuses it: a bench that builds its own simulations
-// (bench_incast, bench_fairness) calls RefuseFlags for the ones it cannot
-// honour. --jobs=0 (the default) uses one worker per hardware thread;
-// results are bit-identical at any job count. --seeds=K runs seeds 1..K per
+// (bench_incast, bench_fairness) lists the ones it cannot honour in
+// BenchFlags::refused, and its usage message leaves them out. --jobs=0 (the
+// default) uses one worker per hardware thread; results are bit-identical
+// at any job count. --seeds=K runs seeds 1..K per
 // cell and aggregates mean +/- 95% CI (tables print the first seed unless
 // they print means). --qdisc selects the VOQ queue discipline (droptail |
 // codel | delaymark | sharedpool), --recovery the tail-recovery mode (off |
@@ -25,7 +26,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <functional>
-#include <initializer_list>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -54,12 +54,37 @@ struct BenchArgs {
   std::vector<std::string> given;  // the --flag names on the command line
 };
 
-[[noreturn]] inline void ExitUsage(const std::string& prog) {
-  std::fprintf(stderr,
-               "usage: %s [duration_ms] [--duration-ms=D] [--jobs=N] "
-               "[--seeds=K] [--qdisc=NAME] [--recovery=MODE] [--out=path] "
-               "[--schedule-jitter=US] [--day-skew=S]\n",
-               prog.c_str());
+// What a bench adds to the shared flag set and what it takes away; the
+// usage message lists exactly the flags the bench accepts.
+struct BenchFlags {
+  // Usage text of the bench's own flags, e.g. "[--racks=R]".
+  std::string usage;
+  // Takes one argument the shared set does not know; returns whether it
+  // took it.
+  std::function<bool(const char*)> parse;
+  // Shared flags the bench cannot honour (it builds its own simulations):
+  // giving one prints the usage and exits 2.
+  std::vector<std::string> refused;
+};
+
+[[noreturn]] inline void ExitUsage(const std::string& prog,
+                                   const BenchFlags& own) {
+  static constexpr const char* kShared[][2] = {
+      {"--duration-ms", "[--duration-ms=D]"}, {"--jobs", "[--jobs=N]"},
+      {"--seeds", "[--seeds=K]"},             {"--qdisc", "[--qdisc=NAME]"},
+      {"--recovery", "[--recovery=MODE]"},    {"--out", "[--out=path]"},
+      {"--schedule-jitter", "[--schedule-jitter=US]"},
+      {"--day-skew", "[--day-skew=S]"},
+  };
+  std::string usage = "usage: " + prog + " [duration_ms]";
+  for (const auto& [name, text] : kShared) {
+    if (std::find(own.refused.begin(), own.refused.end(), name) ==
+        own.refused.end()) {
+      usage += std::string(" ") + text;
+    }
+  }
+  if (!own.usage.empty()) usage += " " + own.usage;
+  std::fprintf(stderr, "%s\n", usage.c_str());
   std::exit(2);
 }
 
@@ -90,12 +115,11 @@ void RequireKnownName(const char* prog, const char* flag, const char* value,
   }
 }
 
-// Parses the shared flags. A bench with flags of its own passes `extra`,
-// which gets every argument the shared set does not know and returns
-// whether it took it; anything left over prints the usage and exits 2.
-inline BenchArgs ParseBenchArgs(
-    int argc, char** argv, int default_ms,
-    const std::function<bool(const char*)>& extra = {}) {
+// Parses the shared flags plus the bench's own (`own`). An argument neither
+// set takes, or a shared flag the bench refuses, prints the usage and exits
+// 2.
+inline BenchArgs ParseBenchArgs(int argc, char** argv, int default_ms,
+                                const BenchFlags& own = {}) {
   BenchArgs args;
   args.prog = argv[0];
   args.duration_ms = default_ms;
@@ -142,26 +166,20 @@ inline BenchArgs ParseBenchArgs(
       }
     } else if (a[0] != '-' && std::atoi(a) > 0) {
       args.duration_ms = std::atoi(a);  // legacy positional [duration_ms]
-    } else if (!extra || !extra(a)) {
-      ExitUsage(args.prog);
+    } else if (!own.parse || !own.parse(a)) {
+      ExitUsage(args.prog, own);
+    }
+  }
+  for (const std::string& name : own.refused) {
+    if (std::find(args.given.begin(), args.given.end(), name) !=
+        args.given.end()) {
+      std::fprintf(stderr, "%s: %s is not supported by this bench\n",
+                   args.prog.c_str(), name.c_str());
+      ExitUsage(args.prog, own);
     }
   }
   if (args.duration_ms <= 0) args.duration_ms = default_ms;
   return args;
-}
-
-// For a bench that builds its own simulations: exits 2 with the usage
-// message when any of the `refused` shared flags was given.
-inline void RefuseFlags(const BenchArgs& args,
-                        std::initializer_list<const char*> refused) {
-  for (const char* name : refused) {
-    if (std::find(args.given.begin(), args.given.end(), name) !=
-        args.given.end()) {
-      std::fprintf(stderr, "%s: %s is not supported by this bench\n",
-                   args.prog.c_str(), name);
-      ExitUsage(args.prog);
-    }
-  }
 }
 
 // Applies --qdisc, --recovery, --schedule-jitter and --day-skew (when given)

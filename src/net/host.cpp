@@ -35,7 +35,9 @@ void Host::HandlePacket(Packet&& p) {
       // one seen for this peer scope. This makes duplicated, reordered, and
       // stale control-plane deliveries idempotent (§3.2) without the flows
       // ever seeing them.
-      std::uint64_t& last = last_notify_seq_[p.notify_peer];
+      const std::size_t scope = NotifyScope(p.notify_peer);
+      if (scope >= last_notify_seq_.size()) last_notify_seq_.resize(scope + 1, 0);
+      std::uint64_t& last = last_notify_seq_[scope];
       if (p.notify_seq <= last) {
         ++stale_notifications_dropped_;
         if (has_trace_) {
@@ -55,8 +57,8 @@ void Host::HandlePacket(Packet&& p) {
     DistributeTdn(p.notify_tdn, p.circuit_imminent, p.notify_peer);
     return;
   }
-  auto it = endpoints_.find(p.flow);
-  if (it == endpoints_.end()) {
+  PacketSink* endpoint = endpoints_.Find(p.flow);
+  if (endpoint == nullptr) {
     ++dropped_no_endpoint_;
     // RFC 9293: a segment aimed at a closed endpoint gets RST — unless it is
     // itself an RST (never answer RST with RST, or two dead ends ping-pong
@@ -80,7 +82,7 @@ void Host::HandlePacket(Packet&& p) {
     }
     return;
   }
-  it->second->HandlePacket(std::move(p));
+  endpoint->HandlePacket(std::move(p));
 }
 
 void Host::DistributeTdn(TdnId tdn, bool imminent, RackId peer) {
@@ -97,14 +99,18 @@ void Host::DistributeTdn(TdnId tdn, bool imminent, RackId peer) {
   }
   // Push model: the kernel walks the flow list; flow i learns the new TDN
   // i staggers later ("unlucky flows which see the TDN update after others
-  // get less time to send", §5.4).
+  // get less time to send", §5.4). Each delivery goes to the registration
+  // that matched, not to whatever its owner registered since.
   for (std::size_t i = 0; i < tdn_listeners_.size(); ++i) {
     if (!matches(tdn_listeners_[i])) continue;
-    const void* owner = tdn_listeners_[i].owner;
+    const std::uint64_t id = tdn_listeners_[i].id;
     sim_.ScheduleNoCancel(notify_.push_stagger * static_cast<std::int64_t>(i),
-                          [this, owner, tdn, imminent] {
+                          [this, id, tdn, imminent] {
                             for (auto& l : tdn_listeners_) {
-                              if (l.owner == owner) l.fn(tdn, imminent);
+                              if (l.id == id) {
+                                l.fn(tdn, imminent);
+                                return;
+                              }
                             }
                           });
   }

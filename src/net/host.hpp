@@ -4,9 +4,9 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
+#include "net/endpoint_table.hpp"
 #include "net/link.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
@@ -52,16 +52,13 @@ class Host : public PacketSink {
 
   // Sockets register to receive packets addressed to this host's flow.
   void RegisterEndpoint(FlowId flow, PacketSink* endpoint) {
-    endpoints_[flow] = endpoint;
+    endpoints_.Insert(flow, endpoint);
   }
   // `endpoint` guards against the churn race where a closed connection's
   // deferred teardown would evict a new connection that reused its FlowId:
   // only the sink that owns the entry may remove it (nullptr = any owner).
   void UnregisterEndpoint(FlowId flow, PacketSink* endpoint = nullptr) {
-    auto it = endpoints_.find(flow);
-    if (it == endpoints_.end()) return;
-    if (endpoint != nullptr && it->second != endpoint) return;
-    endpoints_.erase(it);
+    endpoints_.Erase(flow, endpoint);
   }
   std::size_t num_endpoints() const { return endpoints_.size(); }
   std::size_t num_tdn_listeners() const { return tdn_listeners_.size(); }
@@ -72,7 +69,8 @@ class Host : public PacketSink {
   // hear everything, and fabric-wide notifications reach every listener.
   void AddTdnListener(const void* owner, TdnListener listener,
                       RackId peer_rack = kAllRacks) {
-    tdn_listeners_.push_back({owner, peer_rack, std::move(listener)});
+    tdn_listeners_.push_back(
+        {owner, peer_rack, next_listener_id_++, std::move(listener)});
   }
   void RemoveTdnListener(const void* owner) {
     std::erase_if(tdn_listeners_,
@@ -136,6 +134,10 @@ class Host : public PacketSink {
   struct ListenerEntry {
     const void* owner;
     RackId peer_rack;
+    // Per-host registration number, never reused: a staggered push
+    // delivery names its registration by it, since a churned owner's
+    // address can come back as a new registration before the stagger fires.
+    std::uint64_t id;
     TdnListener fn;
   };
 
@@ -145,22 +147,29 @@ class Host : public PacketSink {
   };
 
   void DistributeTdn(TdnId tdn, bool imminent, RackId peer);
+  // last_notify_seq_ index of a peer scope: kAllRacks is slot 0, rack r is
+  // slot r + 1.
+  static std::size_t NotifyScope(RackId peer) {
+    return peer == kAllRacks ? 0 : std::size_t{peer} + 1;
+  }
 
   Simulator& sim_;
   NodeId id_;
   TimerWheel wheel_;
   RecoveryAgent* recovery_agent_ = nullptr;
   Link* uplink_ = nullptr;
-  std::unordered_map<FlowId, PacketSink*> endpoints_;
+  EndpointTable endpoints_;
   std::vector<ListenerEntry> tdn_listeners_;
+  std::uint64_t next_listener_id_ = 0;
   std::vector<ReconfigEntry> reconfig_listeners_;
   NotifyDistribution notify_;
   std::uint64_t dropped_no_endpoint_ = 0;
   std::uint64_t rsts_sent_ = 0;
   bool nic_enabled_ = true;
   std::uint64_t dropped_nic_down_ = 0;
-  // Highest applied notify_seq per peer scope (kAllRacks is its own scope).
-  std::unordered_map<RackId, std::uint64_t> last_notify_seq_;
+  // Highest applied notify_seq per peer scope, indexed by NotifyScope();
+  // grows to the highest rack heard from.
+  std::vector<std::uint64_t> last_notify_seq_;
   std::uint64_t stale_notifications_dropped_ = 0;
   TraceRing* trace_ = nullptr;
   bool has_trace_ = false;

@@ -43,33 +43,22 @@ double QueueDisc::Stats::SojournPercentileUs(double p) const {
   return static_cast<double>(std::uint64_t{1} << (kSojournBuckets - 1));
 }
 
-void QueueDisc::Grow() {
-  std::vector<Packet> bigger(std::max<std::size_t>(8, ring_.size() * 2));
-  for (std::size_t i = 0; i < count_; ++i) {
-    bigger[i] = std::move(ring_[(head_ + i) & (ring_.size() - 1)]);
-  }
-  ring_ = std::move(bigger);
-  head_ = 0;
-}
-
 void QueueDisc::Push(Packet&& p) {
-  if (count_ == ring_.size()) Grow();
-  ring_[(head_ + count_) & (ring_.size() - 1)] = std::move(p);
-  ++count_;
+  ring_.push_back(std::move(p));
   ++stats_.enqueued;
   stats_.max_occupancy =
-      std::max(stats_.max_occupancy, static_cast<std::uint32_t>(count_));
+      std::max(stats_.max_occupancy, static_cast<std::uint32_t>(ring_.size()));
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) ++pool_->used;
 }
 
 bool QueueDisc::CanEnqueue() const {
-  if (count_ >= config_.capacity_packets) return false;
+  if (ring_.size() >= config_.capacity_packets) return false;
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) {
     // Dynamic threshold (DT): admit while occupancy < alpha * free pool.
     // A full pool admits nothing; a lone queue on a large pool behaves
     // like drop-tail at its own capacity.
     if (pool_->used >= pool_->total_packets) return false;
-    if (static_cast<double>(count_) >=
+    if (static_cast<double>(ring_.size()) >=
         config_.shared_alpha * static_cast<double>(pool_->free_packets())) {
       return false;
     }
@@ -78,7 +67,7 @@ bool QueueDisc::CanEnqueue() const {
 }
 
 bool QueueDisc::Enqueue(Packet&& p) {
-  if (count_ >= config_.capacity_packets) {
+  if (ring_.size() >= config_.capacity_packets) {
     ++stats_.dropped;
     return false;
   }
@@ -88,7 +77,7 @@ bool QueueDisc::Enqueue(Packet&& p) {
     ++stats_.shared_rejected;
     return false;
   }
-  if (count_ >= config_.ecn_threshold_packets && p.ecn == Ecn::kEct0) {
+  if (ring_.size() >= config_.ecn_threshold_packets && p.ecn == Ecn::kEct0) {
     p.ecn = Ecn::kCe;
     ++stats_.ce_marked;
   }
@@ -97,10 +86,9 @@ bool QueueDisc::Enqueue(Packet&& p) {
 }
 
 std::optional<Packet> QueueDisc::PopRaw() {
-  if (count_ == 0) return std::nullopt;
-  std::optional<Packet> p(std::move(ring_[head_]));
-  head_ = (head_ + 1) & (ring_.size() - 1);
-  --count_;
+  if (ring_.empty()) return std::nullopt;
+  std::optional<Packet> p(std::move(ring_.front()));
+  ring_.pop_front();
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr &&
       pool_->used > 0) {
     --pool_->used;
@@ -108,11 +96,11 @@ std::optional<Packet> QueueDisc::PopRaw() {
   if (shrink_watermark_ != 0) {
     // The post-shrink overshoot only ever drains: tighten the watermark with
     // the occupancy and clear it once we are back within capacity.
-    if (count_ <= config_.capacity_packets) {
+    if (ring_.size() <= config_.capacity_packets) {
       shrink_watermark_ = 0;
     } else {
       shrink_watermark_ =
-          std::min(shrink_watermark_, static_cast<std::uint32_t>(count_));
+          std::min(shrink_watermark_, static_cast<std::uint32_t>(ring_.size()));
     }
   }
   return p;
@@ -120,9 +108,9 @@ std::optional<Packet> QueueDisc::PopRaw() {
 
 void QueueDisc::Restore(Packet&& p) {
   Push(std::move(p));
-  if (count_ > config_.capacity_packets) {
+  if (ring_.size() > config_.capacity_packets) {
     shrink_watermark_ =
-        std::max(shrink_watermark_, static_cast<std::uint32_t>(count_));
+        std::max(shrink_watermark_, static_cast<std::uint32_t>(ring_.size()));
   }
 }
 
@@ -149,7 +137,7 @@ bool QueueDisc::CodelOkToDrop(SimTime sojourn, SimTime now) {
   // Below target — or nothing left behind this packet worth defending the
   // target with — resets the above-target tracking (RFC 8289 §4.2 plus the
   // MAXPACKET backlog guard, expressed in packets).
-  if (sojourn < config_.codel_target || count_ == 0) {
+  if (sojourn < config_.codel_target || ring_.empty()) {
     codel_first_above_ = SimTime::Zero();
     return false;
   }
@@ -237,13 +225,12 @@ std::optional<Packet> QueueDisc::Dequeue(SimTime now) {
 }
 
 void QueueDisc::DrainRawInto(std::vector<Packet>& out) {
-  if (count_ == 0) return;
-  const std::uint32_t popped = static_cast<std::uint32_t>(count_);
-  out.reserve(out.size() + count_);
-  while (count_ != 0) {
-    out.push_back(std::move(ring_[head_]));
-    head_ = (head_ + 1) & (ring_.size() - 1);
-    --count_;
+  if (ring_.empty()) return;
+  const std::uint32_t popped = static_cast<std::uint32_t>(ring_.size());
+  out.reserve(out.size() + ring_.size());
+  while (!ring_.empty()) {
+    out.push_back(std::move(ring_.front()));
+    ring_.pop_front();
   }
   if (config_.kind == QdiscKind::kSharedPool && pool_ != nullptr) {
     pool_->used -= std::min(pool_->used, popped);
@@ -253,9 +240,9 @@ void QueueDisc::DrainRawInto(std::vector<Packet>& out) {
 }
 
 void QueueDisc::set_capacity(std::uint32_t packets) {
-  if (count_ > packets) {
-    stats_.shrink_deferred += count_ - packets;
-    shrink_watermark_ = static_cast<std::uint32_t>(count_);
+  if (ring_.size() > packets) {
+    stats_.shrink_deferred += ring_.size() - packets;
+    shrink_watermark_ = static_cast<std::uint32_t>(ring_.size());
   } else {
     shrink_watermark_ = 0;
   }

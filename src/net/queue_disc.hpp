@@ -46,6 +46,7 @@
 #include <vector>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace tdtcp {
@@ -178,8 +179,8 @@ class QueueDisc {
   // drain-then-shrink watermark is extended to keep WithinBound() honest.
   void Restore(Packet&& p);
 
-  bool Empty() const { return count_ == 0; }
-  std::uint32_t occupancy() const { return static_cast<std::uint32_t>(count_); }
+  bool Empty() const { return ring_.empty(); }
+  std::uint32_t occupancy() const { return static_cast<std::uint32_t>(ring_.size()); }
   std::uint32_t capacity() const { return config_.capacity_packets; }
   QdiscKind kind() const { return config_.kind; }
 
@@ -198,7 +199,7 @@ class QueueDisc {
   // after a drain-then-shrink where the bound is the occupancy at shrink
   // time (monotonically non-increasing until it reaches capacity again).
   bool WithinBound() const {
-    return count_ <= std::max(config_.capacity_packets, shrink_watermark_);
+    return ring_.size() <= std::max(config_.capacity_packets, shrink_watermark_);
   }
 
   // Joins this queue to a ToR-level pool (kSharedPool only; ignored — and
@@ -210,9 +211,8 @@ class QueueDisc {
   const Stats& stats() const { return stats_; }
 
  private:
-  // Grows the circular buffer (power-of-two sizes). Called only when
-  // occupancy reaches a new high-water mark; steady state never allocates.
-  void Grow();
+  // Appends to the ring, which allocates only at a new occupancy
+  // high-water mark; steady state never allocates.
   void Push(Packet&& p);
   void RecordSojourn(SimTime sojourn);
   // CoDel per-dequeue decision. Returns false when `p` was consumed as a
@@ -222,9 +222,7 @@ class QueueDisc {
   SimTime CodelControlLaw(SimTime t) const;
 
   Config config_;
-  std::vector<Packet> ring_;  // circular packet storage
-  std::size_t head_ = 0;
-  std::size_t count_ = 0;
+  Ring<Packet> ring_;
   Stats stats_;
   // Non-zero only while draining after a shrink below occupancy.
   std::uint32_t shrink_watermark_ = 0;

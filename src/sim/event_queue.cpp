@@ -484,18 +484,4 @@ bool EventQueue::RunNext(SimTime& now_out, SimTime until) {
   return true;
 }
 
-void EventQueue::Ring::push_back(const LaneEntry& e) {
-  if (count_ == buf_.size()) {
-    // Grow and re-linearize (power-of-two sizes keep the index mask cheap).
-    std::vector<LaneEntry> bigger(std::max<std::size_t>(8, buf_.size() * 2));
-    for (std::size_t i = 0; i < count_; ++i) {
-      bigger[i] = buf_[(head_ + i) & (buf_.size() - 1)];
-    }
-    buf_ = std::move(bigger);
-    head_ = 0;
-  }
-  buf_[(head_ + count_) & (buf_.size() - 1)] = e;
-  ++count_;
-}
-
 }  // namespace tdtcp

@@ -59,6 +59,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace tdtcp {
@@ -462,44 +463,12 @@ class EventQueue {
   void MaybeCompact();
   void Compact();
 
-  // Power-of-two circular FIFO of lane entries: the zero-delay lane and
-  // the ring of every fixed-delay lane.
-  class Ring {
-   public:
-    bool empty() const { return count_ == 0; }
-    std::size_t size() const { return count_; }
-    const LaneEntry& front() const { return buf_[head_]; }
-    void push_back(const LaneEntry& e);
-    void pop_front() {
-      head_ = (head_ + 1) & (buf_.size() - 1);
-      --count_;
-    }
-    // Stable in-place removal; returns how many entries were removed.
-    template <typename Pred>
-    std::size_t RemoveIf(Pred dead) {
-      const std::size_t mask = buf_.size() - 1;
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < count_; ++r) {
-        const LaneEntry e = buf_[(head_ + r) & mask];
-        if (!dead(e)) buf_[(head_ + w++) & mask] = e;
-      }
-      const std::size_t removed = count_ - w;
-      count_ = w;
-      return removed;
-    }
-
-   private:
-    std::vector<LaneEntry> buf_;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
-  };
-
   struct FixedLane {
     SimTime delay;
     // Time of the latest push (pushes may not go backwards); starts below
     // every representable time so a fresh lane accepts any first push.
     SimTime tail_at = SimTime::Picos(std::numeric_limits<std::int64_t>::min());
-    Ring ring;
+    Ring<LaneEntry> ring;
     std::size_t dead = 0;  // cancelled entries still in the ring
     bool in_heap = false;  // owns one heap entry (possibly a lagging key)
   };
@@ -517,7 +486,7 @@ class EventQueue {
   std::uint32_t node_free_ = kNilNode;
   std::unique_ptr<CohortSet[]> cohort_cache_;
   std::uint32_t cohort_rr_ = 0;  // round-robin way replacement cursor
-  Ring zero_lane_;
+  Ring<LaneEntry> zero_lane_;
   std::vector<FixedLane> lanes_;
   std::uint64_t seq_ = 1;
   std::size_t live_count_ = 0;

@@ -8,8 +8,9 @@
 // meta-level can reassemble.
 #pragma once
 
+#include <array>
 #include <cstdint>
-#include <map>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -27,8 +28,10 @@ class ReceiveBuffer {
   };
 
   struct Result {
-    // In-order segments released to the application by this arrival.
-    std::vector<Delivered> delivered;
+    // In-order segments released to the application by this arrival. The
+    // span views a scratch vector the buffer owns and reuses: it stays
+    // valid until the next OnData on this buffer.
+    std::span<const Delivered> delivered;
     bool duplicate = false;   // arrival was (fully) already-received data
     SackBlock dsack;          // valid when duplicate
     bool out_of_order = false;
@@ -42,12 +45,24 @@ class ReceiveBuffer {
   std::uint64_t rcv_nxt() const { return rcv_nxt_; }
   std::uint64_t ooo_bytes() const { return ooo_bytes_; }
 
-  // Builds up to kMaxSackBlocks SACK blocks: the optional DSACK first, then
-  // out-of-order ranges ordered by how recently they grew.
-  std::vector<SackBlock> BuildSackBlocks(const Result& last) const;
+  // Up to kMaxSackBlocks SACK blocks, in wire order.
+  struct SackList {
+    std::array<SackBlock, kMaxSackBlocks> blocks{};
+    std::uint8_t count = 0;
+
+    std::size_t size() const { return count; }
+    bool empty() const { return count == 0; }
+    const SackBlock& operator[](std::size_t i) const { return blocks[i]; }
+  };
+
+  // The optional DSACK first, then out-of-order ranges ordered by how
+  // recently they grew; ranges that grew at the same instant keep their
+  // creation order.
+  SackList BuildSackBlocks(const Result& last) const;
 
  private:
   struct OooSegment {
+    std::uint64_t seq;
     std::uint32_t len;
     bool has_dss;
     std::uint64_t dss_seq;
@@ -62,8 +77,12 @@ class ReceiveBuffer {
 
   std::uint64_t rcv_nxt_;
   std::uint64_t ooo_bytes_ = 0;
-  std::map<std::uint64_t, OooSegment> ooo_;
-  std::vector<Range> ranges_;  // coalesced OOO ranges with recency
+  // Buffered out-of-order segments, sorted by seq (seqs are unique).
+  std::vector<OooSegment> ooo_;
+  // Coalesced OOO ranges. Every touch re-appends its range at the back, so
+  // last_touch is non-decreasing front to back.
+  std::vector<Range> ranges_;
+  std::vector<Delivered> delivered_;  // Result::delivered's storage
 };
 
 }  // namespace tdtcp

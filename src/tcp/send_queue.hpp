@@ -6,12 +6,13 @@
 // heuristic (§3.4) can tell delayed cross-TDN traffic from true loss.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <span>
+#include <utility>
 
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/time.hpp"
 
 namespace tdtcp {
@@ -53,21 +54,45 @@ class SendQueue {
   const TxSegment& front() const { return segs_.front(); }
   TxSegment& front() { return segs_.front(); }
 
-  // Removes segments fully covered by cumulative `ack` and invokes `fn` on
-  // each before removal (per-TDN accounting, RTT sampling).
-  void AckThrough(std::uint64_t ack, const std::function<void(const TxSegment&)>& fn);
+  // Removes segments fully covered by cumulative `ack` and invokes
+  // `fn(const TxSegment&)` on each before removal (per-TDN accounting, RTT
+  // sampling). The visitor is a template parameter, so no callable is
+  // type-erased or heap-allocated per ACK.
+  template <typename Fn>
+  void AckThrough(std::uint64_t ack, Fn&& fn) {
+    while (!segs_.empty() && segs_.front().end_seq() <= ack) {
+      fn(std::as_const(segs_.front()));
+      segs_.pop_front();
+    }
+  }
 
-  // Marks segments fully covered by the SACK blocks; invokes `fn` for each
-  // segment that transitions to sacked. Returns the count newly sacked.
-  std::uint32_t ApplySack(std::span<const SackBlock> blocks,
-                          const std::function<void(TxSegment&)>& fn);
+  // Marks segments fully covered by the SACK blocks; invokes
+  // `fn(TxSegment&)` for each segment that transitions to sacked. Returns
+  // the count newly sacked.
+  template <typename Fn>
+  std::uint32_t ApplySack(std::span<const SackBlock> blocks, Fn&& fn) {
+    std::uint32_t newly = 0;
+    for (TxSegment& seg : segs_) {
+      if (seg.sacked) continue;
+      for (const SackBlock& b : blocks) {
+        if (seg.seq >= b.start && seg.end_seq() <= b.end) {
+          seg.sacked = true;
+          highest_sacked_ = std::max(highest_sacked_, seg.end_seq());
+          fn(seg);
+          ++newly;
+          break;
+        }
+      }
+    }
+    return newly;
+  }
 
   // Highest sequence that has ever been SACKed (0 if none).
   std::uint64_t highest_sacked() const { return highest_sacked_; }
 
   // Iterate over all segments (loss marking, retransmit scans).
-  std::deque<TxSegment>& segments() { return segs_; }
-  const std::deque<TxSegment>& segments() const { return segs_; }
+  Ring<TxSegment>& segments() { return segs_; }
+  const Ring<TxSegment>& segments() const { return segs_; }
 
   // The first segment covering `seq`, or nullptr.
   TxSegment* Find(std::uint64_t seq);
@@ -78,7 +103,7 @@ class SendQueue {
   std::uint32_t CountRetrans() const;
 
  private:
-  std::deque<TxSegment> segs_;
+  Ring<TxSegment> segs_;
   std::uint64_t highest_sacked_ = 0;
 };
 

@@ -15,21 +15,14 @@ namespace tdtcp {
 
 namespace {
 
-TdnManager::IndexedCcFactory ResolveFactory(const TcpConfig& config) {
-  if (!config.per_tdn_cc.empty()) {
-    // §3.5: a different CCA per TDN; ids past the list reuse the last entry.
-    auto factories = config.per_tdn_cc;
-    return [factories](TdnId id) {
-      const std::size_t idx =
-          std::min<std::size_t>(id, factories.size() - 1);
-      return factories[idx]();
-    };
-  }
-  if (config.cc_factory) {
-    auto factory = config.cc_factory;
-    return [factory](TdnId) { return factory(); };
-  }
-  return [](TdnId) { return MakeCubic(); };
+// The config's own factories, viewed in place: per_tdn_cc when set (§3.5:
+// a different CCA per TDN; ids past the list reuse the last entry), else
+// cc_factory, else CUBIC.
+std::span<const CcFactory> CcFactories(const TcpConfig& config) {
+  if (!config.per_tdn_cc.empty()) return config.per_tdn_cc;
+  if (config.cc_factory) return {&config.cc_factory, 1};
+  static const CcFactory kCubic = [] { return MakeCubic(); };
+  return {&kCubic, 1};
 }
 
 }  // namespace
@@ -39,7 +32,7 @@ TcpConnection::TcpConnection(Simulator& sim, Host* host, FlowId flow,
     : sim_(sim), host_(host), flow_(flow), peer_(peer),
       config_(std::move(config)),
       tdns_(config_.tdtcp_enabled ? config_.num_tdns : 1,
-            ResolveFactory(config_), config_.rtt, config_.initial_cwnd) {
+            CcFactories(config_), config_.rtt, config_.initial_cwnd) {
   assert(host_ != nullptr);
   rto_entry_.Init(this, &RtoTrampoline);
   tlp_entry_.Init(this, &TlpTrampoline);
@@ -781,10 +774,9 @@ void TcpConnection::SendAck(const ReceiveBuffer::Result& result,
       std::min<std::uint64_t>(wnd, 0xffffffffu));
   a.has_rwnd = true;
   if (config_.sack_enabled) {
-    auto blocks = rcv_buffer_.BuildSackBlocks(result);
-    a.num_sack = static_cast<std::uint8_t>(
-        std::min<std::size_t>(blocks.size(), kMaxSackBlocks));
-    for (std::uint8_t i = 0; i < a.num_sack; ++i) a.sack[i] = blocks[i];
+    const ReceiveBuffer::SackList blocks = rcv_buffer_.BuildSackBlocks(result);
+    a.sack = blocks.blocks;
+    a.num_sack = blocks.count;
   }
   // DCTCP-style precise per-packet ECN echo.
   a.ece = (data.ecn == Ecn::kCe);
@@ -864,11 +856,10 @@ void TcpConnection::OnAckPacket(const Packet& p) {
 
   NoteCircuitEcho(p.circuit_echo);
 
-  // Per-ACK scratch accounting (per TDN).
-  acked_pkts_scratch_.assign(tdns_.num_tdns(), 0);
-  acked_bytes_scratch_.assign(tdns_.num_tdns(), 0);
-  sacked_pkts_scratch_.assign(tdns_.num_tdns(), 0);
-  rtt_scratch_.assign(tdns_.num_tdns(), SimTime::Zero());
+  // Per-ACK accounting (per TDN).
+  for (std::size_t i = 0; i < tdns_.num_tdns(); ++i) {
+    tdns_.state(static_cast<TdnId>(i)).ack = {};
+  }
   ece_target_tdn_ = trigger_tdn;
 
   std::uint32_t newly_sacked = 0;
@@ -903,7 +894,7 @@ void TcpConnection::OnAckPacket(const Packet& p) {
       TdnState& st = ActiveState();
       if (st.sacked_out + st.lost_out < st.packets_out) {
         st.sacked_out++;
-        sacked_pkts_scratch_[tdns_.active_id()]++;
+        st.ack.sacked_pkts++;
       }
     }
   }
@@ -962,7 +953,7 @@ void TcpConnection::NoteSackedSegment(TxSegment& seg, TdnId ack_tdn) {
   Trace(TracePoint::kTcpSackEdit,
         static_cast<std::uint64_t>(TraceSackEdit::kSacked), seg.seq, seg.len,
         seg.tdn);
-  if (seg.tdn < sacked_pkts_scratch_.size()) sacked_pkts_scratch_[seg.tdn]++;
+  st.ack.sacked_pkts++;
   if (seg.lost) {
     // The receiver has it after all; it was reordered, not lost.
     seg.lost = false;
@@ -1051,8 +1042,8 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p, TdnId trigger_tdn) {
     if (seg.retrans) st.retrans_out--;
     if (!seg.syn && !seg.fin) {
       st.bytes_acked += seg.len;
-      acked_pkts_scratch_[seg.tdn]++;
-      acked_bytes_scratch_[seg.tdn] += seg.len;
+      st.ack.acked_pkts++;
+      st.ack.acked_bytes += seg.len;
       ece_target_tdn_ = seg.tdn;
     }
     // An acked never-retransmitted FIN proves path liveness just like data.
@@ -1083,13 +1074,13 @@ bool TcpConnection::ProcessCumulativeAck(const Packet& p, TdnId trigger_tdn) {
     if (tdtcp_active_ && config_.per_tdn_rtt) {
       if (p.ack_tdn != kNoTdn && p.ack_tdn == seg.tdn) {
         st.rtt.AddSample(rtt);
-        rtt_scratch_[seg.tdn] = rtt;
+        st.ack.rtt = rtt;
       } else {
         ++stats_.rtt_samples_dropped;
       }
     } else {
       st.rtt.AddSample(rtt);
-      rtt_scratch_[seg.tdn] = rtt;
+      st.ack.rtt = rtt;
     }
     (void)trigger_tdn;
   });
@@ -1226,8 +1217,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
   for (std::size_t i = 0; i < tdns_.num_tdns(); ++i) {
     const TdnId id = static_cast<TdnId>(i);
     TdnState& st = tdns_.state(id);
-    const std::uint32_t acked_here =
-        i < acked_pkts_scratch_.size() ? acked_pkts_scratch_[i] : 0;
+    const std::uint32_t acked_here = st.ack.acked_pkts;
     const CaState prev_ca = st.ca_state;
     const std::uint32_t prev_cwnd = st.cwnd;
     const std::uint32_t prev_ssthresh = st.ssthresh;
@@ -1236,10 +1226,10 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
     if (acked_here > 0) {
       AckContext ctx;
       ctx.event.newly_acked_packets = acked_here;
-      ctx.event.newly_acked_bytes = acked_bytes_scratch_[i];
+      ctx.event.newly_acked_bytes = st.ack.acked_bytes;
       ctx.event.ece = p.ece && id == ece_target_tdn_;
       ctx.event.circuit_echo = p.circuit_echo;
-      ctx.event.rtt_sample = rtt_scratch_[i];
+      ctx.event.rtt_sample = st.ack.rtt;
       ctx.event.cwnd_limited = st.cwnd_limited;
       ctx.snd_una = snd_una_;
       ctx.snd_nxt = snd_nxt_;
@@ -1260,9 +1250,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
           EnterRecovery(st);
           // The entering ACK participates in the rate reduction (Linux runs
           // tcp_cwnd_reduction on the same ACK that enters recovery).
-          ProportionalRateReduction(st, acked_here,
-                                    i < sacked_pkts_scratch_.size()
-                                        ? sacked_pkts_scratch_[i] : 0);
+          ProportionalRateReduction(st, acked_here, st.ack.sacked_pkts);
         } else if (st.sacked_out > 0) {
           st.ca_state = CaState::kDisorder;
         } else {
@@ -1270,9 +1258,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
         }
         break;
       case CaState::kCwr:
-        ProportionalRateReduction(st, acked_here,
-                                  i < sacked_pkts_scratch_.size()
-                                      ? sacked_pkts_scratch_[i] : 0);
+        ProportionalRateReduction(st, acked_here, st.ack.sacked_pkts);
         if (snd_una_ >= st.high_seq) {
           st.ca_state = CaState::kOpen;
           st.cwnd = std::max(2u, st.ssthresh);  // tcp_end_cwnd_reduction
@@ -1283,9 +1269,7 @@ void TcpConnection::AdvanceStateMachines(const Packet& p) {
       case CaState::kLoss:
         MaybeUndo(st);
         if (st.ca_state == CaState::kRecovery) {
-          ProportionalRateReduction(st, acked_here,
-                                    i < sacked_pkts_scratch_.size()
-                                        ? sacked_pkts_scratch_[i] : 0);
+          ProportionalRateReduction(st, acked_here, st.ack.sacked_pkts);
         }
         if ((st.ca_state == CaState::kRecovery || st.ca_state == CaState::kLoss) &&
             snd_una_ >= st.high_seq) {
@@ -1836,8 +1820,8 @@ void TcpConnection::OnTlpFire() {
   }
   // Probe with the highest unSACKed segment.
   auto& segs = send_queue_.segments();
-  for (auto it = segs.rbegin(); it != segs.rend(); ++it) {
-    TxSegment& seg = *it;
+  for (std::size_t i = segs.size(); i-- > 0;) {
+    TxSegment& seg = segs[i];
     if (seg.sacked || seg.lost) continue;
     TdnState& origin = tdns_.state(seg.tdn);
     TdnState& active = ActiveState();

@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -25,6 +24,7 @@
 #include "net/host.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/ring.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer_wheel.hpp"
 #include "tcp/invariant_checker.hpp"
@@ -495,7 +495,7 @@ class TcpConnection : public PacketSink {
 
   // --- app data ------------------------------------------------------------------
   bool unlimited_data_ = false;
-  std::deque<PendingChunk> pending_;   // unsent application bytes
+  Ring<PendingChunk> pending_;   // unsent application bytes
   std::uint64_t pending_bytes_ = 0;
 
   // --- peer flow control -----------------------------------------------------
@@ -511,11 +511,7 @@ class TcpConnection : public PacketSink {
   // the O(n^2) per-hole rescan).
   std::vector<std::uint32_t> sacked_above_scratch_;
 
-  // --- per-ACK scratch (per-TDN newly-acked accounting) -------------------------
-  std::vector<std::uint32_t> acked_pkts_scratch_;
-  std::vector<std::uint32_t> sacked_pkts_scratch_;
-  std::vector<std::uint64_t> acked_bytes_scratch_;
-  std::vector<SimTime> rtt_scratch_;
+  // --- per-ACK scratch (the per-TDN tallies live in TdnState::ack) --------------
   TdnId ece_target_tdn_ = 0;
 
   // --- timers ---------------------------------------------------------------------

@@ -1,5 +1,6 @@
 #include "tdtcp/tdn_manager.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -7,10 +8,25 @@
 
 namespace tdtcp {
 
-TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
+TdnManager::TdnManager(std::uint32_t num_tdns,
+                       std::span<const CcFactory> factories,
                        RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
-    : factory_(std::move(factory)), rtt_config_(rtt_config),
+    : factories_(factories), rtt_config_(rtt_config),
       initial_cwnd_(initial_cwnd) {
+  if (factories.empty()) {
+    throw std::invalid_argument("TdnManager: no congestion-control factory");
+  }
+  InitStates(num_tdns);
+}
+
+TdnManager::TdnManager(std::uint32_t num_tdns, CcFactory factory,
+                       RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
+    : own_factory_(std::move(factory)), rtt_config_(rtt_config),
+      initial_cwnd_(initial_cwnd) {
+  InitStates(num_tdns);
+}
+
+void TdnManager::InitStates(std::uint32_t num_tdns) {
   if (num_tdns < 1) {
     // Was an NDEBUG-silent assert: a zero-TDN manager has no active() state
     // and the first tag/switch would index an empty vector.
@@ -18,24 +34,30 @@ TdnManager::TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
         "TdnManager: num_tdns must be >= 1 (got " + std::to_string(num_tdns) +
         ")");
   }
+  states_.reserve(num_tdns);
   for (std::uint32_t i = 0; i < num_tdns; ++i) EnsureTdn(static_cast<TdnId>(i));
+}
+
+TdnState TdnManager::FreshState(TdnId id) const {
+  TdnState s;
+  s.id = id;
+  s.cwnd = initial_cwnd_;
+  s.rtt = RttEstimator(rtt_config_);
+  s.cc = factories_.empty()
+             ? own_factory_()
+             : factories_[std::min<std::size_t>(id, factories_.size() - 1)]();
+  s.cc->Init(s);
+  return s;
 }
 
 void TdnManager::EnsureTdn(TdnId id) {
   while (states_.size() <= id) {
-    TdnState s;
-    s.id = static_cast<TdnId>(states_.size());
-    s.cwnd = initial_cwnd_;
-    s.rtt = RttEstimator(rtt_config_);
-    s.cc = factory_(s.id);
-    s.cc->Init(s);
-    states_.push_back(std::move(s));
+    states_.push_back(FreshState(static_cast<TdnId>(states_.size())));
     if (has_trace_) {
       trace_->Emit(trace_sim_->now().picos(), TracePoint::kTdnStateSelect,
                    trace_flow_, states_.back().id);
     }
   }
-  if (retired_.size() < states_.size()) retired_.resize(states_.size(), false);
 }
 
 void TdnManager::ReviveIfDrained(TdnState& s) {
@@ -44,22 +66,16 @@ void TdnManager::ReviveIfDrained(TdnState& s) {
   // CC episode state) must carry over or the invariant checker's recount
   // diverges.
   if (s.packets_out != 0 || s.retrans_out != 0) return;
-  const TdnId id = s.id;
-  s = TdnState();
-  s.id = id;
-  s.cwnd = initial_cwnd_;
-  s.rtt = RttEstimator(rtt_config_);
-  s.cc = factory_(id);
-  s.cc->Init(s);
+  s = FreshState(s.id);
 }
 
 bool TdnManager::SwitchTo(TdnId id) {
   EnsureTdn(id);
   if (id == active_) return false;
-  if (retired_[id]) {
+  if (states_[id].retired) {
     // Reviving a retired TDN (the schedule grew back): reset to fresh
     // connection state if it drained while parked, carry over otherwise.
-    retired_[id] = false;
+    states_[id].retired = false;
     ReviveIfDrained(states_[id]);
   }
   const TdnId prev = active_;
@@ -82,18 +98,19 @@ bool TdnManager::RetireAbove(std::uint32_t live) {
   ++retire_events_;
   std::uint64_t newly_retired = 0;
   for (std::size_t id = 0; id < states_.size(); ++id) {
+    TdnState& s = states_[id];
     const bool retire = id >= live;
-    if (retire && !retired_[id]) ++newly_retired;
-    if (!retire && retired_[id]) {
+    if (retire && !s.retired) ++newly_retired;
+    if (!retire && s.retired) {
       // The schedule grew back: ids below the new count are live again.
-      retired_[id] = false;
-      ReviveIfDrained(states_[id]);
+      s.retired = false;
+      ReviveIfDrained(s);
     } else {
-      retired_[id] = retire;
+      s.retired = retire;
     }
   }
   bool moved = false;
-  if (active_ < retired_.size() && retired_[active_]) {
+  if (states_[active_].retired) {
     // Never leave the connection tagging new data with a retired TDN; TDN 0
     // always survives (live >= 1).
     moved = SwitchTo(0);

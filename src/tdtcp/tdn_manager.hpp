@@ -11,6 +11,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "tcp/rtt_estimator.hpp"
@@ -26,19 +27,17 @@ namespace tdtcp {
 
 class TdnManager {
  public:
-  // §3.5: each TDN could in principle run a different CCA, so the factory
-  // is indexed by TDN id.
-  using IndexedCcFactory = std::function<std::unique_ptr<CongestionControl>(TdnId)>;
-
-  TdnManager(std::uint32_t num_tdns, IndexedCcFactory factory,
+  // §3.5: each TDN could in principle run a different CCA. TDN i uses
+  // factories[min(i, size - 1)]. The span is not copied: the factories must
+  // outlive the manager (a TcpConnection passes its own config's), so
+  // resolving them costs no allocation per connection. Throws
+  // std::invalid_argument when `factories` is empty.
+  TdnManager(std::uint32_t num_tdns, std::span<const CcFactory> factories,
              RttEstimator::Config rtt_config, std::uint32_t initial_cwnd);
 
-  // Convenience: the same CCA on every TDN.
-  TdnManager(std::uint32_t num_tdns, const CcFactory& factory,
-             RttEstimator::Config rtt_config, std::uint32_t initial_cwnd)
-      : TdnManager(num_tdns,
-                   IndexedCcFactory([factory](TdnId) { return factory(); }),
-                   rtt_config, initial_cwnd) {}
+  // Convenience: the same CCA on every TDN (the manager keeps the copy).
+  TdnManager(std::uint32_t num_tdns, CcFactory factory,
+             RttEstimator::Config rtt_config, std::uint32_t initial_cwnd);
 
   TdnId active_id() const { return active_; }
   TdnState& active() { return states_[active_]; }
@@ -72,11 +71,11 @@ class TdnManager {
   // live == 0.
   bool RetireAbove(std::uint32_t live);
   bool retired(TdnId id) const {
-    return id < retired_.size() && retired_[id];
+    return id < states_.size() && states_[id].retired;
   }
   std::uint32_t live_tdns() const {
     std::uint32_t live = 0;
-    for (bool r : retired_) live += r ? 0 : 1;
+    for (const TdnState& s : states_) live += s.retired ? 0 : 1;
     return live;
   }
   std::uint64_t retire_events() const { return retire_events_; }
@@ -108,12 +107,15 @@ class TdnManager {
   }
 
  private:
+  void InitStates(std::uint32_t num_tdns);
+  // A fresh state set for `id`: initial cwnd, empty RTT estimator, new CC.
+  TdnState FreshState(TdnId id) const;
   void ReviveIfDrained(TdnState& s);
 
   std::vector<TdnState> states_;
-  std::vector<bool> retired_;
   std::uint64_t retire_events_ = 0;
-  IndexedCcFactory factory_;
+  std::span<const CcFactory> factories_;  // empty: use own_factory_
+  CcFactory own_factory_;
   RttEstimator::Config rtt_config_;
   std::uint32_t initial_cwnd_;
   TdnId active_ = 0;

@@ -15,6 +15,7 @@
 #include <memory>
 
 #include "net/packet.hpp"
+#include "sim/time.hpp"
 #include "tcp/rtt_estimator.hpp"
 #include "tcp/types.hpp"
 
@@ -67,6 +68,21 @@ struct TdnState {
   // --- CC module (one instance per TDN; §3.5: in principle each TDN could
   // even run a different CCA) -------------------------------------------------
   std::unique_ptr<CongestionControl> cc;
+
+  // --- per-ACK tallies -------------------------------------------------------
+  // What the ACK being processed did to this TDN; the connection zeroes
+  // them at the start of each ACK and hands them to the CC hook and PRR.
+  struct AckTally {
+    std::uint32_t acked_pkts = 0;
+    std::uint32_t sacked_pkts = 0;
+    std::uint64_t acked_bytes = 0;
+    SimTime rtt = SimTime::Zero();  // newest valid RTT sample, else zero
+  };
+  AckTally ack;
+
+  // Set while a schedule reconfiguration has retired this TDN
+  // (TdnManager::RetireAbove).
+  bool retired = false;
 
   // --- statistics -----------------------------------------------------------
   std::uint64_t bytes_acked = 0;

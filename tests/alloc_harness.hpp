@@ -41,12 +41,16 @@ AllocDelta CountAllocations(F&& f) {
 }  // namespace tdtcp::test
 
 // All forms funnel through malloc/free so the aligned overloads used by the
-// event core's heap buffer are counted too.
+// event core's heap buffer are counted too. They are kept out of line:
+// inlined into a caller, g++ pairs the caller's `new` with this `free` and
+// reports a mismatched new/delete (-Wmismatched-new-delete).
+[[gnu::noinline]]
 void* operator new(std::size_t n) {
   tdtcp::test::g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
+[[gnu::noinline]]
 void* operator new(std::size_t n, std::align_val_t al) {
   tdtcp::test::g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(static_cast<std::size_t>(al),
@@ -56,18 +60,22 @@ void* operator new(std::size_t n, std::align_val_t al) {
   }
   throw std::bad_alloc();
 }
+[[gnu::noinline]]
 void operator delete(void* p) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete(void* p, std::size_t) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete(void* p, std::align_val_t) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);
 }
+[[gnu::noinline]]
 void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   tdtcp::test::g_deletes.fetch_add(1, std::memory_order_relaxed);
   std::free(p);

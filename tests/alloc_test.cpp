@@ -1,6 +1,7 @@
-// The tentpole claim of the allocation-free event core, asserted directly:
-// after warmup, neither a self-rescheduling timer nor a link/queue packet
-// ping-pong touches the global heap. The counting allocator lives in
+// The allocation-free claims of the event core and the TCP packet path,
+// asserted directly: after warmup, neither a self-rescheduling timer, a
+// link/queue packet ping-pong nor an established bulk TCP flow (SACK,
+// DSACK, reassembly and cumulative ACKs included) touches the global heap. The counting allocator lives in
 // alloc_harness.hpp (shared with tracepoint_test's disabled-path check);
 // any steady-state allocation is a test failure, not a perf regression to
 // chase later.
@@ -9,9 +10,13 @@
 #include <cstdint>
 
 #include "alloc_harness.hpp"
+#include "cc/registry.hpp"
+#include "net/host.hpp"
 #include "net/link.hpp"
 #include "net/packet.hpp"
+#include "sim/random.hpp"
 #include "sim/simulator.hpp"
+#include "tcp/tcp_connection.hpp"
 
 namespace tdtcp {
 namespace {
@@ -118,6 +123,58 @@ TEST(AllocFree, LinkPacketPingPongSteadyState) {
   EXPECT_EQ(d.news, 0u) << "packet path steady state allocated";
   EXPECT_EQ(d.deletes, 0u);
   EXPECT_LE(sim.stashed_packets(), 1u);  // at most the one in flight
+}
+
+TEST(AllocFree, TcpBulkSteadyStateWithSackAndReordering) {
+  // One unlimited sender across a jittered forward link that also drops
+  // every 97th data segment: reordering deeper than the dupACK threshold
+  // makes spurious retransmissions (DSACK), the drops make real losses
+  // (SACK recovery), and every arrival runs OOO reassembly or in-order
+  // delivery with a cumulative ACK.
+  Simulator sim;
+  Random rng(7);
+  Host a(sim, 0), b(sim, 1);
+  Link::Config lc;
+  lc.rate_bps = 10'000'000'000;
+  lc.propagation = SimTime::Micros(2);
+  lc.queue.capacity_packets = 1000;
+  Link::Config fwd = lc;
+  fwd.reorder_jitter = SimTime::Micros(6);
+  Link ab(sim, fwd, &b, &rng);
+  Link ba(sim, lc, &a);
+  a.AttachUplink(&ab);
+  b.AttachUplink(&ba);
+  std::uint64_t data_seen = 0;
+  ab.SetFaultFilter([&data_seen](const Packet& p) {
+    return p.payload > 0 && ++data_seen % 97 == 0;
+  });
+
+  TcpConfig tc;
+  tc.mss = 1000;
+  tc.cc_factory = MakeCcFactory("reno");
+  TcpConnection rx(sim, &b, 1, 0, tc);
+  TcpConnection tx(sim, &a, 1, 1, tc);
+  rx.Listen();
+  tx.Connect();
+  tx.SetUnlimitedData(true);
+
+  // Warmup grows every pool: event slab and lanes, wheel, send-queue ring,
+  // reassembly vectors, the delivered scratch, the checker's recount.
+  sim.RunUntil(SimTime::Millis(100));
+  ASSERT_EQ(tx.state(), TcpConnection::State::kEstablished);
+
+  const TcpStats before_tx = tx.stats();
+  const TcpStats before_rx = rx.stats();
+  const AllocDelta d = CountAllocations([&] { sim.RunFor(SimTime::Millis(50)); });
+
+  // Every path named above ran inside the counted window.
+  EXPECT_GT(rx.stats().bytes_received, before_rx.bytes_received + 1'000'000);
+  EXPECT_GT(rx.stats().duplicate_segments, before_rx.duplicate_segments);
+  EXPECT_GT(tx.stats().dsacks_received, before_tx.dsacks_received);
+  EXPECT_GT(tx.stats().retransmissions, before_tx.retransmissions);
+  EXPECT_GT(tx.stats().fast_recoveries, before_tx.fast_recoveries);
+  EXPECT_EQ(d.news, 0u) << "TCP segment/ACK steady state allocated";
+  EXPECT_EQ(d.deletes, 0u);
 }
 
 }  // namespace

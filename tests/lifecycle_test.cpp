@@ -684,6 +684,13 @@ TEST(ChurnSoak, TenThousandCyclesLeakNothing) {
   // Per-cycle allocations (connections, buffers, callbacks) are all matched
   // by frees: the churn steady state holds zero net allocations.
   EXPECT_EQ(delta.news, delta.deletes);
+  // And the count per cycle is pinned. Each of the two connections makes
+  // six: the object, its one CC module, the TdnState array, the send-queue
+  // ring, the invariant checker and the checker's recount scratch. The
+  // sender adds its pending-bytes ring and the receiver its delivered-
+  // segment scratch. None is per segment or per ACK.
+  constexpr std::uint64_t kNewsPerCycle = 2 * 6 + 2;
+  EXPECT_EQ(delta.news, kNewsPerCycle * 10'000);
 
   // And zero leaked host registrations across all 10200 open/close cycles.
   EXPECT_EQ(net.a.num_endpoints(), 0u);

@@ -1,6 +1,7 @@
 // Network substrate: queues, links, fabric ports, hosts, ToR switches.
 #include <gtest/gtest.h>
 
+#include "net/endpoint_table.hpp"
 #include "net/fabric_port.hpp"
 #include "net/host.hpp"
 #include "net/link.hpp"
@@ -313,6 +314,69 @@ TEST(Host, DispatchesByFlow) {
   EXPECT_EQ(ep2.packets.size(), 1u);
 }
 
+TEST(Host, UnregisterEndpointChecksTheOwner) {
+  Simulator sim;
+  Host host(sim, 7);
+  CaptureSink ep, stranger;
+  host.RegisterEndpoint(4, &ep);
+  host.UnregisterEndpoint(4, &stranger);  // not its entry: a no-op
+  EXPECT_EQ(host.num_endpoints(), 1u);
+  Packet p = MakeData();
+  p.flow = 4;
+  host.HandlePacket(std::move(p));
+  EXPECT_EQ(ep.packets.size(), 1u);
+  host.UnregisterEndpoint(4, &ep);
+  EXPECT_EQ(host.num_endpoints(), 0u);
+}
+
+TEST(EndpointTable, CollidingFlowsSurviveBackwardShiftDeletion) {
+  EndpointTable t;
+  CaptureSink s[4];
+  t.Insert(1, &s[0]);  // sizes the table
+  // Three more flows whose probes all start at flow 1's home slot.
+  std::vector<FlowId> run = {1};
+  for (FlowId f = 2; run.size() < 4; ++f) {
+    if (t.HomeSlot(f) == t.HomeSlot(1)) run.push_back(f);
+  }
+  for (std::size_t i = 1; i < run.size(); ++i) t.Insert(run[i], &s[i]);
+  ASSERT_EQ(t.size(), 4u);
+  for (std::size_t i = 0; i < run.size(); ++i) EXPECT_EQ(t.Find(run[i]), &s[i]);
+
+  // A foreign sink cannot remove an entry.
+  t.Erase(run[1], &s[0]);
+  EXPECT_EQ(t.Find(run[1]), &s[1]);
+  EXPECT_EQ(t.size(), 4u);
+
+  // Removing the head of the run shifts the rest back: all stay reachable,
+  // the vacated flow is gone, and re-inserting it lands at the end.
+  t.Erase(run[0], &s[0]);
+  EXPECT_EQ(t.size(), 3u);
+  EXPECT_EQ(t.Find(run[0]), nullptr);
+  for (std::size_t i = 1; i < run.size(); ++i) EXPECT_EQ(t.Find(run[i]), &s[i]);
+  t.Erase(run[2], nullptr);  // nullptr: any owner
+  EXPECT_EQ(t.Find(run[2]), nullptr);
+  EXPECT_EQ(t.Find(run[1]), &s[1]);
+  EXPECT_EQ(t.Find(run[3]), &s[3]);
+  t.Insert(run[0], &s[0]);
+  EXPECT_EQ(t.Find(run[0]), &s[0]);
+  EXPECT_EQ(t.size(), 3u);
+}
+
+TEST(EndpointTable, GrowsUnderChurnAndKeepsEveryEntry) {
+  EndpointTable t;
+  CaptureSink sink;
+  // A sliding window of 300 live flows over 5000 registrations.
+  for (FlowId f = 1; f <= 5000; ++f) {
+    t.Insert(f, &sink);
+    if (f > 300) t.Erase(f - 300, &sink);
+  }
+  EXPECT_EQ(t.size(), 300u);
+  EXPECT_LE(t.capacity(), 1024u);
+  for (FlowId f = 1; f <= 5000; ++f) {
+    EXPECT_EQ(t.Find(f), f > 4700 ? &sink : nullptr) << f;
+  }
+}
+
 TEST(Host, UnknownFlowCounted) {
   Simulator sim;
   Host host(sim, 7);
@@ -351,6 +415,31 @@ TEST(Host, PushModelStaggersListeners) {
   sim.Run();
   EXPECT_EQ(when[0], SimTime::Zero());
   EXPECT_EQ(when[1], SimTime::Micros(2));
+}
+
+TEST(Host, PushDeliveryGoesToTheRegistrationThatMatched) {
+  // A churned connection's address comes back as a new registration (here
+  // for another peer rack) while a staggered push to the old one is still
+  // pending: the pending delivery must not reach the newcomer.
+  Simulator sim;
+  Host host(sim, 0);
+  host.set_notify_distribution(NotifyDistribution{false, SimTime::Micros(2)});
+  int o1, owner;
+  int first = 0, reused = 0, other_rack = 0;
+  host.AddTdnListener(&o1, [&](TdnId, bool) { ++first; }, 1);
+  host.AddTdnListener(&owner, [&](TdnId, bool) { ++first; }, 1);
+  Packet icmp;
+  icmp.type = PacketType::kTdnNotify;
+  icmp.notify_tdn = 1;
+  icmp.notify_peer = 1;
+  host.HandlePacket(std::move(icmp));
+  host.RemoveTdnListener(&owner);
+  host.AddTdnListener(&owner, [&](TdnId, bool) { ++other_rack; }, 2);
+  host.AddTdnListener(&owner, [&](TdnId, bool) { ++reused; }, 1);
+  sim.Run();
+  EXPECT_EQ(first, 1);  // o1 heard it; the removed registration did not
+  EXPECT_EQ(other_rack, 0);
+  EXPECT_EQ(reused, 0);
 }
 
 TEST(Host, RemoveTdnListener) {

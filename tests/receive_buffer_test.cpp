@@ -99,6 +99,34 @@ TEST(ReceiveBuffer, SackBlockLimit) {
   EXPECT_EQ(blocks[0].start, 201u + 5 * 200);
 }
 
+TEST(ReceiveBuffer, EqualTouchRangesKeepIndexOrderAndCap) {
+  ReceiveBuffer rb;
+  rb.OnData(201, 100, false, 0, T(0));
+  rb.OnData(401, 100, false, 0, T(1));
+  rb.OnData(601, 100, false, 0, T(1));
+  rb.OnData(801, 100, false, 0, T(2));
+  rb.OnData(1001, 100, false, 0, T(2));
+  auto last = rb.OnData(1201, 100, false, 0, T(2));
+  // Newest instant first; the three ranges that grew at T(2) keep their
+  // creation order, then the T(1) group starts and the cap cuts it off.
+  auto blocks = rb.BuildSackBlocks(last);
+  ASSERT_EQ(blocks.size(), static_cast<std::size_t>(kMaxSackBlocks));
+  EXPECT_EQ(blocks[0], (SackBlock{801, 901}));
+  EXPECT_EQ(blocks[1], (SackBlock{1001, 1101}));
+  EXPECT_EQ(blocks[2], (SackBlock{1201, 1301}));
+  EXPECT_EQ(blocks[3], (SackBlock{401, 501}));
+
+  // A duplicate takes the first slot and pushes the oldest block out.
+  auto dup = rb.OnData(1201, 100, false, 0, T(3));
+  ASSERT_TRUE(dup.duplicate);
+  blocks = rb.BuildSackBlocks(dup);
+  ASSERT_EQ(blocks.size(), static_cast<std::size_t>(kMaxSackBlocks));
+  EXPECT_EQ(blocks[0], (SackBlock{1201, 1301}));
+  EXPECT_EQ(blocks[1], (SackBlock{801, 901}));
+  EXPECT_EQ(blocks[2], (SackBlock{1001, 1101}));
+  EXPECT_EQ(blocks[3], (SackBlock{1201, 1301}));
+}
+
 TEST(ReceiveBuffer, DeliveryClearsSackRanges) {
   ReceiveBuffer rb;
   rb.OnData(101, 100, false, 0, T(0));
